@@ -81,11 +81,18 @@ def n_bar(L: float, n: int) -> float:
 
 
 def _ratio_lm1(L: float, n: int) -> float:
-    """(L^{-1} - 1) / (L^{-n} - 1), interpreted as 1/n at L = 1."""
+    """(L^{-1} - 1) / (L^{-n} - 1), interpreted as 1/n at L = 1.
+
+    Where L^{-n} overflows (L < 1, n (-ln L) > ~709) the equal form
+    (L^{-1} - 1) L^n / (1 - L^n) is used.
+    """
     if L == 1.0:
         return 1.0 / n
     u = math.log(L)
-    return math.expm1(-u) / math.expm1(-n * u)
+    try:
+        return math.expm1(-u) / math.expm1(-n * u)
+    except OverflowError:
+        return math.expm1(-u) * math.exp(n * u) / -math.expm1(n * u)
 
 
 def w2_framework_bound(k: KernelAssumptions, n: int, w2_init: float) -> BoundReport:
@@ -104,9 +111,11 @@ def w2_framework_bound(k: KernelAssumptions, n: int, w2_init: float) -> BoundRep
         nb = n_bar(k.L, n)
         raw = k.L**n * w2_init**2 + nb**2 * drift**2 + nb * k.e_strong**2
     else:
-        raw = k.L ** (3 * n) * (
-            w2_init**2 + drift**2 / (k.L - 1.0) ** 2 + k.e_strong**2 / (k.L - 1.0)
-        )
+        bracket = w2_init**2 + drift**2 / (k.L - 1.0) ** 2 + k.e_strong**2 / (k.L - 1.0)
+        try:
+            raw = k.L ** (3 * n) * bracket
+        except OverflowError:  # L^{3N} beyond the float range
+            raw = math.inf if bracket > 0.0 else 0.0
     return BoundReport(k.implied_constant * raw, "closed_form", k.implied_constant)
 
 

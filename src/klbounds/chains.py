@@ -15,7 +15,7 @@ with a fine inner Euler grid for the diffusion endpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,10 +49,31 @@ SCHEMES = ("LMC", "RMLMC", "ExactDiffusion")
 
 @dataclass(frozen=True)
 class QuadraticTag:
-    """Quadratic potential V(x) = (x-mode)^T precision (x-mode) / 2."""
+    """Quadratic potential V(x) = (x-mode)^T precision (x-mode) / 2.
+
+    Holds read-only copies of precision and mode, so their eigendecomposition,
+    computed once here, cannot go stale when the caller mutates its arrays.
+    """
 
     precision: np.ndarray
     mode: np.ndarray
+    _eigvals: np.ndarray = field(init=False, repr=False, compare=False)
+    _eigvecs: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        p = np.array(self.precision, dtype=float)
+        m = np.atleast_1d(np.array(self.mode, dtype=float))
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(m))):
+            raise ValueError("precision and mode must be finite")
+        square = p.ndim == 2 and p.shape[0] == p.shape[1]
+        if not square or not np.allclose(p, p.T, rtol=1e-12, atol=1e-15):
+            raise ValueError("precision must be a symmetric square matrix")
+        if m.shape != p.shape[:1]:
+            raise ValueError("mode must match the precision dimension")
+        lam, vecs = np.linalg.eigh(p)
+        for name, arr in (("precision", p), ("mode", m), ("_eigvals", lam), ("_eigvecs", vecs)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -93,29 +114,29 @@ class PotentialSpec:
         p = np.asarray(precision, dtype=float)
         if p.ndim == 0:
             p = p.reshape(1, 1)
-        d = p.shape[0]
-        if p.shape != (d, d) or not np.allclose(p, p.T, rtol=1e-12, atol=1e-15):
-            raise ValueError("precision must be a symmetric square matrix")
-        m = np.zeros(d) if mode is None else np.atleast_1d(np.asarray(mode, dtype=float))
-        if m.shape != (d,):
-            raise ValueError("mode must match the precision dimension")
-        lam = np.linalg.eigvalsh(p)
+        tag = QuadraticTag(p, np.zeros(p.shape[0]) if mode is None else mode)
+        p, m = tag.precision, tag.mode
         return cls(
-            dimension=d,
+            dimension=m.size,
             gradient=lambda x, _p=p, _m=m: (np.asarray(x, dtype=float) - _m) @ _p,
-            alpha=float(lam[0]),
-            beta=float(lam[-1]),
-            quadratic=QuadraticTag(precision=p, mode=m),
+            alpha=float(tag._eigvals[0]),
+            beta=float(tag._eigvals[-1]),
+            quadratic=tag,
         )
 
     def grad_batch(self, x: np.ndarray) -> np.ndarray:
-        """Gradient on a batch (m, d); falls back to a row loop."""
+        """Gradient on a batch (m, d).
+
+        Falls back to a row loop only when the batch call returns the wrong
+        shape or fails as a per-point gradient does on a batch (ValueError,
+        TypeError, IndexError); any other exception propagates.
+        """
         x = np.asarray(x, dtype=float)
         try:
             g = np.asarray(self.gradient(x), dtype=float)
             if g.shape == x.shape:
                 return g
-        except Exception:
+        except (ValueError, TypeError, IndexError):
             pass
         return np.stack([np.asarray(self.gradient(row), dtype=float) for row in x])
 
@@ -205,10 +226,10 @@ def rmlmc_step(pot: PotentialSpec, x, h: float, u: float, b_uh, b_h) -> np.ndarr
 
 
 def _quadratic_eig(pot: PotentialSpec):
-    if pot.quadratic is None:
+    tag = pot.quadratic
+    if tag is None:
         raise ValueError("operation requires a quadratic potential tag")
-    lam, vecs = np.linalg.eigh(pot.quadratic.precision)
-    return lam, vecs, pot.quadratic.mode
+    return tag._eigvals, tag._eigvecs, tag.mode
 
 
 def exact_diffusion_kernel(pot: PotentialSpec, x, h: float) -> Gaussian:
@@ -223,12 +244,31 @@ def exact_diffusion_kernel(pot: PotentialSpec, x, h: float) -> Gaussian:
     return Gaussian(mean, cov)
 
 
-def propagate_law(pot: PotentialSpec, init: Gaussian, scheme: str, h: float, n: int) -> Gaussian:
-    """Exact Gaussian law of iterate n for quadratic targets.
+def _lmc_geometric_sum(z, n: int):
+    """g_n = sum_{j<n} r^j with r = (1 - z)^2 (z = h lam), in closed form.
 
-    LMC is the affine recursion mean' = m + A (mean - m), cov' = A cov A^T
-    + 2 h I with A = I - h P (applied as stated regardless of stability);
-    ExactDiffusion composes OU transitions in closed form.
+    g_n = expm1(n log r) / expm1(log r), with log r = 2 log1p(-z) below z = 1
+    so it stays accurate as r -> 1; the limits g_n = n at r = 1 (z = 0 or 2)
+    and g_n = 1 at r = 0 (z = 1, n >= 1) are explicit.  r > 1 may overflow.
+    """
+    z = np.asarray(z, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_r = 2.0 * np.where(z < 1.0, np.log1p(-z), np.log(z - 1.0))
+        g = np.expm1(n * log_r) / np.expm1(log_r)
+    return np.where(log_r == 0.0, float(n), np.where(z == 1.0, float(n > 0), g))
+
+
+def propagate_law(pot: PotentialSpec, init: Gaussian, scheme: str, h: float, n: int) -> Gaussian:
+    """Exact Gaussian law of iterate n for quadratic targets, in closed form.
+
+    In the precision's eigenbasis (eigenvalues lam; init mean mu and
+    covariance S there) the law is N(m + D^n mu, D^n S D^n + diag(q_n)):
+
+    - LMC, the recursion x' = m + (I - h P)(x - m) + sqrt(2h) xi applied as
+      stated regardless of stability: D = 1 - h lam, q_n = 2h sum_{j<n} D^{2j}.
+      A law that overflows (|1 - h lam| > 1) raises ValueError.
+    - ExactDiffusion, composed OU transitions: D = e^{-h lam},
+      q_n = (1 - D^{2n}) / lam.
     """
     lam, vecs, m = _quadratic_eig(pot)
     if n < 0:
@@ -237,24 +277,23 @@ def propagate_law(pot: PotentialSpec, init: Gaussian, scheme: str, h: float, n: 
         return init
     mu = vecs.T @ (init.mean - m)
     sig = vecs.T @ init.cov @ vecs
-    if scheme == "LMC":
-        decay = (1.0 - h * lam) ** n
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scheme == "LMC":
+            decay = (1.0 - h * lam) ** n
+            noise = 2.0 * h * _lmc_geometric_sum(h * lam, n)
+        elif scheme == "ExactDiffusion":
+            if lam[0] <= 0.0:
+                raise ValueError("exact diffusion requires positive-definite precision")
+            decay = np.exp(-n * h * lam)
+            noise = (1.0 - decay**2) / lam
+        else:
+            raise ValueError("scheme must be LMC or ExactDiffusion")
         mean = m + vecs @ (decay * mu)
-        # cov recursion in the eigenbasis: S' = D S D + 2 h I, D = diag(1 - h lam)
-        dvec = 1.0 - h * lam
-        s = sig.copy()
-        for _ in range(n):
-            s = (dvec[:, None] * s) * dvec[None, :] + 2.0 * h * np.eye(lam.size)
+        s = (decay[:, None] * sig) * decay[None, :] + np.diag(noise)
         cov = vecs @ s @ vecs.T
-        return Gaussian(mean, cov)
-    if scheme == "ExactDiffusion":
-        if lam[0] <= 0.0:
-            raise ValueError("exact diffusion requires positive-definite precision")
-        decay = np.exp(-n * h * lam)
-        mean = m + vecs @ (decay * mu)
-        s = (decay[:, None] * sig) * decay[None, :] + np.diag((1.0 - decay**2) / lam)
-        return Gaussian(mean, vecs @ s @ vecs.T)
-    raise ValueError("scheme must be LMC or ExactDiffusion")
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise ValueError(f"{scheme} law diverged: |1 - h lam| > 1 overflows by step {n}")
+    return Gaussian(mean, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +336,6 @@ def _lmc_coupled_variance(lam: np.ndarray, h: float) -> np.ndarray:
     return 2.0 * h * bracket
 
 
-def _sq_integral(w: float, lam: float, t0: float, t1: float) -> float:
-    """integral of (w - e^{-lam t})^2 dt over [t0, t1]."""
-    e0, e1 = math.exp(-lam * t0), math.exp(-lam * t1)
-    return (
-        w * w * (t1 - t0)
-        + 2.0 * w * (e1 - e0) / lam
-        - (e1 * e1 - e0 * e0) / (2.0 * lam)
-    )
-
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _GL_U = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
@@ -315,10 +344,15 @@ _GL_W = 0.5 * _GL_WEIGHTS
 def _exact_local_errors(pot: PotentialSpec, scheme: str, x: np.ndarray, h: float):
     """Exact weak/strong one-step errors for quadratic targets.
 
-    The coupled pair (X_hat_h, X_h) shares one Brownian path; conditionally
-    on the midpoint fraction u it is jointly Gaussian, and the u-average is
-    evaluated by 64-node Gauss-Legendre quadrature (exact to roundoff for
-    these analytic integrands).
+    The coupled pair (X_hat_h, X_h) shares one Brownian path, so per live
+    eigendirection (lam, z = lam h, start coordinate xi about the mode) the
+    gap is Gaussian; strong^2 sums its squared mean and variance.
+    - LMC: mean (e^{-z} - (1 - z)) xi, variance 2h (1 + phi(2z) - 2 phi(z)).
+    - RMLMC, given the midpoint fraction u: mean (1 - z - e^{-z} + u z^2) xi
+      (u-average: the weak error), variance 2 [int_t^h (1 - z - e^{-lam s})^2 ds
+      + int_0^t (1 - e^{-lam s})^2 ds] with t = (1 - u) h.  The u-average of
+      the variance is a 64-node Gauss-Legendre sum (exact to roundoff for
+      these analytic integrands), one array over (eigenvalue, node).
     """
     lam, vecs, m = _quadratic_eig(pot)
     xi = vecs.T @ (x - m)
@@ -336,19 +370,15 @@ def _exact_local_errors(pot: PotentialSpec, scheme: str, x: np.ndarray, h: float
         a_coef = np.where(live, (1.0 - z) - np.exp(-z), 0.0)
         b_coef = np.where(live, z * z, 0.0)
         mean_sq = float(np.sum((a_coef**2 + a_coef * b_coef + b_coef**2 / 3.0) * xi**2))
-        var_total = 0.0
-        for lam_i, z_i in zip(lam, z):
-            if lam_i <= 1e-12:
-                continue
-            w_i = 1.0 - z_i
-            for u, wt in zip(_GL_U, _GL_W):
-                t_split = (1.0 - u) * h
-                v = 2.0 * (
-                    _sq_integral(w_i, lam_i, t_split, h)
-                    + _sq_integral(1.0, lam_i, 0.0, t_split)
-                )
-                var_total += wt * v
-        strong = math.sqrt(mean_sq + var_total)
+        lv = lam[live][:, None]
+        w = 1.0 - lv * h
+        t = (1.0 - _GL_U) * h
+        e_t, e_h = np.exp(-lv * t), np.exp(-lv * h)
+        var = 2.0 * (
+            (w * w * (h - t) + 2.0 * w * (e_h - e_t) / lv - (e_h * e_h - e_t * e_t) / (2.0 * lv))
+            + (t + 2.0 * (e_t - 1.0) / lv - (e_t * e_t - 1.0) / (2.0 * lv))
+        )
+        strong = math.sqrt(mean_sq + float(np.sum(var @ _GL_W)))
         return weak, strong
     raise ValueError("scheme must be LMC or RMLMC")
 

@@ -58,9 +58,10 @@ def _as_cov(cov, d: int) -> np.ndarray:
 class Gaussian:
     """Gaussian measure N(mean, cov) on R^d.
 
-    ``cov`` must be symmetric (1e-12 relative) and PSD up to roundoff;
-    degenerate (singular) covariances are allowed and represent point masses
-    in the flat directions.  Scalars are accepted for 1D convenience.
+    Mean and covariance must be finite.  ``cov`` must be symmetric (1e-12
+    relative) and PSD up to roundoff; degenerate (singular) covariances are
+    allowed and represent point masses in the flat directions.  Scalars are
+    accepted for 1D convenience.
     """
 
     mean: np.ndarray
@@ -71,6 +72,8 @@ class Gaussian:
     def __post_init__(self):
         m = _as_mean(self.mean)
         c = _as_cov(self.cov, m.size)
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(c))):
+            raise ValueError("mean and covariance must be finite")
         scale = max(1.0, float(np.max(np.abs(c))))
         if np.max(np.abs(c - c.T)) > PSD_TOL * scale:
             raise ValueError("covariance is not symmetric")

@@ -352,7 +352,10 @@ def three_phase_schedule(n: int, L: float, a0: float = 0.0, a1: float = 0.0) -> 
         if L <= 1.0:
             # L^{-(n-k)} >= 2  <=>  remaining * (-log L) >= log 2
             if remaining * (-log_l) >= math.log(2.0):
-                eta[k] = math.expm1(-log_l) / math.expm1(remaining * (-log_l))
+                try:
+                    eta[k] = math.expm1(-log_l) / math.expm1(remaining * (-log_l))
+                except OverflowError:  # L^{-(n-k)} beyond the float range
+                    eta[k] = math.expm1(-log_l) * L**remaining / -math.expm1(remaining * log_l)
             else:
                 eta[k] = 1.0 / remaining
         else:

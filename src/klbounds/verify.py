@@ -147,15 +147,15 @@ def exact_quadratic_assumptions(lam: float, h: float, n: int, x0: float) -> boun
     c' = e^{-2 lam h} / (1 - e^{-2 lam h}) plus a state-dependent b(x)
     whose L2 maximum is taken over the same iterate laws.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     big_l, gamma, c = schemes.langevin_kernel_params(lam, lam, h)
-    # largest second moment E[x^2] along the LMC iterates (about the mode)
-    s2_max = 0.0
-    mean, var = x0, 0.0
-    for _ in range(n):
-        s2_max = max(s2_max, mean * mean + var)
-        mean = (1.0 - h * lam) * mean
-        var = (1.0 - h * lam) ** 2 * var + 2.0 * h
+    # second moment about the mode of LMC iterate k: with r = (1 - z)^2 and
+    # g_k = sum_{j<k} r^j it is r^k x0^2 + 2h g_k = x0^2 + g_k (2h - (1 - r) x0^2),
+    # monotone in k, so its largest value over k < n is at k = 0 or n - 1
     z = lam * h
+    g_last = float(chains._lmc_geometric_sum(z, n - 1))
+    s2_max = max(x0 * x0, x0 * x0 + g_last * (2.0 * h - z * (2.0 - z) * x0 * x0))
     coef_weak = abs(math.exp(-z) - (1.0 - z))
     coupled_var = float(chains._lmc_coupled_variance(np.array([lam]), h)[0])
     e_weak = coef_weak * math.sqrt(s2_max)

@@ -2,6 +2,7 @@
 validity against the exactly solvable toy pair."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -44,6 +45,12 @@ class TestW2Framework:
         want = 2.0**9 * (1.0 + drift**2 / 1.0 + 0.25 / 1.0)
         assert rep.value == pytest.approx(want, rel=1e-12)
         assert math.isfinite(rep.value)
+
+    def test_expansive_overflow_is_inf(self):
+        # L^{3N} = 2^3000 is beyond the float range
+        k = KernelAssumptions(L=2.0, e_strong=0.1)
+        assert w2_framework_bound(k, 1000, 1.0).value == math.inf
+        assert w2_framework_bound(KernelAssumptions(L=2.0), 1000, 0.0).value == 0.0
 
     def test_implied_constant_scales(self):
         k1 = KernelAssumptions(L=1.0, e_strong=1.0)
@@ -163,6 +170,23 @@ class TestKlFramework:
             kl_framework_bound(k, 3, 1.0, mode="certified")
         with pytest.raises(ValueError):
             kl_framework_bound(k, 3, 1.0, mode="unknown")
+
+    def test_long_contractive_horizon_is_finite(self):
+        # n (-ln L) = 10000 * 0.105 > 709, where L^{-n} overflows
+        k = KernelAssumptions(L=0.9, c=1.0, c_prime=1.0, e_strong=0.1)
+        for mode in ("closed_form", "certified"):
+            assert math.isfinite(kl_framework_bound(k, 10_000, 1.0, mode).value)
+
+    def test_initial_weight_across_overflow_switch(self):
+        # with c + c' = 1 and no errors the closed form is the W^2 weight
+        # (L^{-1} - 1) / (L^{-n} - 1); L^{-n} overflows from n ~ 6737 on
+        k = KernelAssumptions(L=0.9, c=0.5, c_prime=0.5)
+        big_l = Decimal(0.9)
+        with localcontext(prec=40):
+            for n in range(6720, 6760):
+                want = float((1 / big_l - 1) / (big_l**-n - 1))
+                got = kl_framework_bound(k, n, 1.0, "closed_form").value
+                assert got == pytest.approx(want, rel=1e-9)
 
     def test_expansive_closed_form_grows_linearly(self):
         k = KernelAssumptions(L=1.05, c=1.0, c_prime=1.0, e_strong=0.1)

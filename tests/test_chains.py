@@ -2,13 +2,15 @@
 coupled Monte Carlo against the exact Gaussian path."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from klbounds import gauss
+from klbounds import chains, gauss
 from klbounds.chains import (
     PotentialSpec,
+    QuadraticTag,
     SamplerConfig,
     auxiliary_process_sim,
     dump_samples_csv,
@@ -27,6 +29,53 @@ from klbounds.chains import (
 from klbounds.shifts import optimal_shifts_L1
 
 UNIT = PotentialSpec.quadratic_potential(1.0)
+
+
+def rotated_quadratic(rng, lam, rotate=True):
+    """Quadratic potential with spectrum lam in a random basis (or the standard one)."""
+    d = len(lam)
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0] if rotate else np.eye(d)
+    p = (q * lam) @ q.T
+    return PotentialSpec.quadratic_potential(0.5 * (p + p.T), rng.standard_normal(d))
+
+
+def random_gaussian(rng, d):
+    a = rng.standard_normal((d, d)) / math.sqrt(d)
+    return gauss.Gaussian(rng.standard_normal(d), a @ a.T)
+
+
+def lmc_law_by_steps(pot, init, h, n):
+    """Slow reference: n dense steps of mean' = m + A (mean - m), cov' = A cov A^T + 2h I."""
+    p, m = pot.quadratic.precision, pot.quadratic.mode
+    a = np.eye(pot.dimension) - h * p
+    mean, cov = init.mean.copy(), init.cov.copy()
+    for _ in range(n):
+        mean = m + a @ (mean - m)
+        cov = a @ cov @ a.T + 2.0 * h * np.eye(pot.dimension)
+    return mean, cov
+
+
+def rmlmc_strong_by_nodes(pot, x, h):
+    """Slow reference: the RMLMC strong error as a loop over eigenvalues x nodes."""
+
+    def sq_integral(w, lam, t0, t1):  # integral of (w - e^{-lam t})^2 over [t0, t1]
+        e0, e1 = math.exp(-lam * t0), math.exp(-lam * t1)
+        return w * w * (t1 - t0) + 2.0 * w * (e1 - e0) / lam - (e1 * e1 - e0 * e0) / (2.0 * lam)
+
+    lam, vecs = np.linalg.eigh(pot.quadratic.precision)
+    xi = vecs.T @ (np.atleast_1d(x) - pot.quadratic.mode)
+    total = 0.0
+    for lam_i, xi_i in zip(lam, xi):
+        if lam_i <= 1e-12:
+            continue
+        z = lam_i * h
+        a, b = (1.0 - z) - math.exp(-z), z * z
+        total += (a * a + a * b + b * b / 3.0) * xi_i * xi_i
+        for u, wt in zip(chains._GL_U, chains._GL_W):
+            t = (1.0 - u) * h
+            v = sq_integral(1.0 - z, lam_i, t, h) + sq_integral(1.0, lam_i, 0.0, t)
+            total += wt * 2.0 * v
+    return math.sqrt(total)
 
 
 class TestSteps:
@@ -117,6 +166,35 @@ class TestExactLaws:
         np.testing.assert_allclose(many.mean, direct.mean, rtol=1e-12)
         np.testing.assert_allclose(many.cov, direct.cov, rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 50, 10**6])
+    def test_lmc_geometric_sum(self, n):
+        # sum_{j<n} r^j, r = (1 - z)^2, against (1 - r^n) / (1 - r) in 40 digits
+        z = np.array([0.0, 1e-9, 0.03, 1.0, 1.5, 2.0, 2.5])
+        with localcontext(prec=40):
+            r = [(1 - Decimal(v)) ** 2 for v in z]
+            want = [float(0 if n == 0 else n if q == 1 else (1 - q**n) / (1 - q)) for q in r]
+        np.testing.assert_allclose(chains._lmc_geometric_sum(z, n), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("rotate", [True, False])
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    def test_lmc_closed_form_matches_steps(self, rotate, n):
+        # h lam covers near 0, the stable range, the r = 0 and r = 1 limits
+        # (h lam = 1, 2), a flat direction (lam = 0) and an unstable one
+        h = 0.1
+        z = np.array([0.0, 1e-9, 0.03, 0.5, 1.0, 1.5, 1.9, 2.0, 2.5])
+        lam = np.concatenate([z, np.linspace(0.2, 1.8, 11)]) / h
+        rng = np.random.default_rng(n)
+        pot = rotated_quadratic(rng, lam, rotate)
+        init = random_gaussian(rng, lam.size)
+        law = propagate_law(pot, init, "LMC", h, n)
+        mean, cov = lmc_law_by_steps(pot, init, h, n)
+        assert np.max(np.abs(law.mean - mean)) <= 1e-12 * max(1.0, np.max(np.abs(mean)))
+        assert np.max(np.abs(law.cov - cov)) <= 1e-12 * np.max(np.abs(cov))
+
+    def test_unstable_lmc_law_divergence_raises(self):
+        with pytest.raises(ValueError, match="diverged"):
+            propagate_law(UNIT, gauss.Gaussian(1.0, 0.0), "LMC", 2.5, 2000)
+
     def test_contraction_rates(self):
         h, x, y = 0.07, 3.0, -1.0
         for n in (1, 5, 20):
@@ -180,6 +258,16 @@ class TestLocalErrors:
         for scheme in ("LMC", "RMLMC"):
             est = estimate_local_errors(quartic, scheme, 0.7, 0.05, samples=100_000, seed=3)
             assert est.weak <= est.strong + 3 * (est.weak_stderr + est.strong_stderr)
+
+    @pytest.mark.parametrize("d", [1, 50])
+    def test_rmlmc_strong_matches_node_loop(self, d):
+        rng = np.random.default_rng(d)
+        lam = np.exp(rng.uniform(0.0, math.log(5.0), d)) if d > 1 else np.ones(1)
+        pot = rotated_quadratic(rng, lam)
+        x = pot.quadratic.mode + 2.0 * rng.standard_normal(d)
+        for h in (0.2, 0.1):
+            got = estimate_local_errors(pot, "RMLMC", x, h).strong
+            assert got == pytest.approx(rmlmc_strong_by_nodes(pot, x, h), rel=1e-12)
 
     def test_rmlmc_conditional_mean_is_affine(self):
         # E[X_hat | u] = x - h P (I - u h P)(x - m): affine in x
@@ -291,10 +379,73 @@ class TestPotentialSpec:
         with pytest.raises(ValueError, match="quadratic"):
             PotentialSpec(
                 1, lambda x: 2.0 * np.atleast_1d(x), 1.0, 1.0,
-                quadratic=__import__("klbounds.chains", fromlist=["QuadraticTag"]).QuadraticTag(
-                    np.eye(1), np.zeros(1)
-                ),
+                quadratic=QuadraticTag(np.eye(1), np.zeros(1)),
             )
+
+    def test_caller_mutation_does_not_reach_laws(self):
+        rng = np.random.default_rng(7)
+        p = rotated_quadratic(rng, np.linspace(0.5, 3.0, 6)).quadratic.precision.copy()
+        m = rng.standard_normal(6)
+        pot = PotentialSpec.quadratic_potential(p, m)
+        x, init = m + 1.0, gauss.Gaussian(m + 1.0, np.eye(6))
+
+        def laws():
+            return [
+                propagate_law(pot, init, "LMC", 0.1, 30),
+                propagate_law(pot, init, "ExactDiffusion", 0.1, 30),
+                exact_diffusion_kernel(pot, x, 0.1),
+            ]
+
+        before = laws()
+        errors = estimate_local_errors(pot, "RMLMC", x, 0.1)
+        grad = pot.gradient(x)
+        p *= 3.0
+        m += 1.0
+        for a, b in zip(before, laws()):
+            assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+        assert estimate_local_errors(pot, "RMLMC", x, 0.1) == errors
+        assert np.array_equal(pot.gradient(x), grad)
+
+    def test_precision_decomposed_once(self, monkeypatch):
+        pot = rotated_quadratic(np.random.default_rng(8), np.linspace(0.5, 3.0, 5))
+        prec = pot.quadratic.precision
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.array_equal(a, prec))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        init = gauss.Gaussian(np.zeros(5), np.eye(5))
+        propagate_law(pot, init, "LMC", 0.1, 10)
+        propagate_law(pot, init, "ExactDiffusion", 0.1, 10)
+        exact_diffusion_kernel(pot, np.zeros(5), 0.1)
+        for scheme in ("LMC", "RMLMC"):
+            estimate_local_errors(pot, scheme, np.ones(5), 0.1)
+        simulate_chain(pot, SamplerConfig("ExactDiffusion", 0.1, 2, samples=3), np.zeros(5))
+        assert calls and not any(calls)  # only Gaussian covariances were decomposed
+
+    def test_tag_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticTag(np.array([[np.nan]]), np.zeros(1))
+        with pytest.raises(ValueError, match="symmetric"):
+            QuadraticTag(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
+        with pytest.raises(ValueError, match="mode"):
+            QuadraticTag(np.eye(2), np.zeros(3))
+
+    def test_grad_batch_falls_back_only_on_shape_errors(self):
+        scalar_only = PotentialSpec(1, lambda x: np.array([2.0 * float(x[0])]), 2.0, 2.0)
+        np.testing.assert_array_equal(scalar_only.grad_batch(np.ones((3, 1))), np.full((3, 1), 2.0))
+
+        def rejects_batches(x):
+            if np.ndim(x) > 1:
+                raise RuntimeError("model failure")
+            return np.ones_like(x)
+
+        broken = PotentialSpec(2, rejects_batches, 0.0, 1.0)
+        with pytest.raises(RuntimeError, match="model failure"):
+            broken.grad_batch(np.zeros((4, 2)))
 
     def test_alpha_beta_ordering(self):
         with pytest.raises(ValueError):

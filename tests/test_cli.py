@@ -47,6 +47,17 @@ class TestBoundCommand:
         _, out2 = run(args, tmp_path, "b.csv")
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_long_contractive_horizon(self, tmp_path):
+        code, out = run(
+            ["bound", "--set", "n=10000", "--set", "L=0.9", "--set", "c=1",
+             "--set", "c_prime=1", "--set", "e_strong=0.1"],
+            tmp_path,
+        )
+        assert code == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:-1]]
+        assert [r[1] for r in rows] == ["simple", "closed_form", "certified"]
+        assert all(np.isfinite(float(r[2])) for r in rows)
+
     def test_invalid_mode_rejected(self, tmp_path, capsys):
         code, _ = run(
             ["bound", "--set", "n=3", "--set", "toy_w=0", "--set", "toy_sigma=1",

@@ -234,6 +234,16 @@ class TestGaussianValidation:
         with pytest.raises(ValueError, match="PSD"):
             Gaussian([0.0], [[-1.0]])
 
+    @pytest.mark.parametrize("mean, cov", [
+        ([math.nan], [[1.0]]),
+        ([0.0, math.inf], np.eye(2)),
+        ([0.0], [[math.nan]]),
+        ([0.0, 0.0], [[1.0, math.inf], [math.inf, 1.0]]),
+    ])
+    def test_non_finite_rejected(self, mean, cov):
+        with pytest.raises(ValueError, match="finite"):
+            Gaussian(mean, cov)
+
     def test_immutable(self):
         g = Gaussian([0.0], [[1.0]])
         with pytest.raises(ValueError):

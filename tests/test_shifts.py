@@ -2,6 +2,7 @@
 hand-propagated schedule evaluations."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -284,6 +285,16 @@ class TestThreePhase:
                 eta = three_phase_schedule(n, float(big_l)).eta
                 assert np.all(eta >= 0.0) and np.all(eta <= 1.0)
                 assert eta[-1] == 1.0
+
+    def test_long_contractive_horizon(self):
+        # L^{-(n-k)} overflows for n - k > ~6737 at L = 0.9
+        eta = three_phase_schedule(10_000, 0.9).eta
+        assert np.all(np.isfinite(eta)) and np.all(eta >= 0.0) and eta[-1] == 1.0
+        big_l = Decimal(0.9)
+        with localcontext(prec=40):
+            for k in range(3240, 3280):
+                want = float((1 / big_l - 1) / (big_l ** -(10_000 - k) - 1))
+                assert eta[k] == pytest.approx(want, rel=1e-9)
 
     def test_expansive_phases(self):
         big_l = 2.0  # 2L/(L-1) = 4, so early steps damp by 1 - 1/L^2
