@@ -11,6 +11,12 @@ Two modes are exposed throughout:
   (three-phase) schedule.  No hidden constants: whenever the one-step
   assumptions hold with the supplied constants, the value is a valid KL
   upper bound.
+
+Invalid input raises ValueError (see KernelAssumptions; the simple and
+certified modes need finite error levels).  A constant whose square
+overflows a float raises OverflowError.  A bound is never nan: a 0 * inf
+left by an overflow (the exact value is finite but out of range) is
+reported as inf, which is still a valid upper bound.
 """
 
 from __future__ import annotations
@@ -41,7 +47,9 @@ class KernelAssumptions:
     c: regularity, KL(d_x P || d_y P) <= c |x-y|^2;
     (c_prime, b_bar): cross-regularity KL(d_x Phat || d_y P) <= c' |x-y|^2 + b^2;
     e_weak / e_strong: local error levels; a: uniform one-step Wasserstein
-    bias W2(d_x Phat, d_y P) <= L |x-y| + a.
+    bias W2(d_x Phat, d_y P) <= L |x-y| + a.  nan is rejected everywhere;
+    the levels b_bar, e_weak, e_strong and a may be inf (an exact level that
+    overflows, e.g. for an unstable chain), every other constant is finite.
     """
 
     L: float
@@ -55,12 +63,16 @@ class KernelAssumptions:
     implied_constant: float = 1.0
 
     def __post_init__(self):
-        if self.L <= 0.0:
+        for name in ("L", "gamma", "c", "c_prime", "implied_constant"):
+            if math.isinf(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        # the negated comparisons also reject nan
+        if not self.L > 0.0:
             raise ValueError("L must be > 0")
         for name in ("gamma", "c", "c_prime", "b_bar", "e_weak", "e_strong", "a"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.implied_constant <= 0.0:
+        if not self.implied_constant > 0.0:
             raise ValueError("implied_constant must be > 0")
 
 
@@ -71,6 +83,10 @@ class BoundReport:
     constant_used: float
     schedule: shifts.ShiftSchedule | None = None
     trace: shifts.ObjectiveTrace | None = None
+
+
+def _nan_to_inf(value: float) -> float:
+    return math.inf if math.isnan(value) else value
 
 
 def n_bar(L: float, n: int) -> float:
@@ -104,8 +120,8 @@ def w2_framework_bound(k: KernelAssumptions, n: int, w2_init: float) -> BoundRep
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if w2_init < 0.0:
-        raise ValueError("w2_init must be >= 0")
+    if not (math.isfinite(w2_init) and w2_init >= 0.0):
+        raise ValueError("w2_init must be finite and >= 0")
     drift = k.e_weak + k.gamma * k.e_strong
     if k.L <= 1.0:
         nb = n_bar(k.L, n)
@@ -116,7 +132,7 @@ def w2_framework_bound(k: KernelAssumptions, n: int, w2_init: float) -> BoundRep
             raw = k.L ** (3 * n) * bracket
         except OverflowError:  # L^{3N} beyond the float range
             raw = math.inf if bracket > 0.0 else 0.0
-    return BoundReport(k.implied_constant * raw, "closed_form", k.implied_constant)
+    return BoundReport(_nan_to_inf(k.implied_constant * raw), "closed_form", k.implied_constant)
 
 
 def kl_simple_bound(k: KernelAssumptions, n: int, w2_init: float) -> BoundReport:
@@ -130,7 +146,7 @@ def kl_simple_bound(k: KernelAssumptions, n: int, w2_init: float) -> BoundReport
     value = shifts.final_bound_with_cross_reg(
         n, k.a, w2_init, k.L, k.c, k.c_prime, k.b_bar
     )
-    return BoundReport(value, "closed_form", 1.0)
+    return BoundReport(_nan_to_inf(value), "closed_form", 1.0)
 
 
 def renyi_simple_bound(order: float, k: KernelAssumptions, n: int, winf_init: float) -> BoundReport:
@@ -161,8 +177,8 @@ def kl_framework_bound(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if w2_init < 0.0:
-        raise ValueError("w2_init must be >= 0")
+    if not (math.isfinite(w2_init) and w2_init >= 0.0):
+        raise ValueError("w2_init must be finite and >= 0")
     a1 = k.e_weak + k.gamma * k.e_strong
     a0 = k.e_strong
     if mode == "closed_form":
@@ -172,12 +188,12 @@ def kl_framework_bound(
             _ratio_lm1(k.L, n) * w2_init**2 + strong_factor * a0**2 + nb * a1**2
         )
         return BoundReport(
-            k.implied_constant * raw + k.b_bar**2, "closed_form", k.implied_constant
+            _nan_to_inf(k.implied_constant * raw + k.b_bar**2), "closed_form", k.implied_constant
         )
     if mode == "certified":
         if not 0.5 <= k.L <= 2.0:
             raise ValueError("certified mode requires 1/2 <= L <= 2")
-        schedule = shifts.three_phase_schedule(n, k.L, a0, a1)
+        schedule = shifts.three_phase_schedule(n, k.L)
         problem = shifts.ShiftProblem(
             n, k.L, w2_init, shifts.WeakAwareError(a0, a1), c=k.c, c_prime=k.c_prime, b=0.0
         )

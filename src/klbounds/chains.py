@@ -240,7 +240,7 @@ def exact_diffusion_kernel(pot: PotentialSpec, x, h: float) -> Gaussian:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     decay = np.exp(-h * lam)
     mean = m + vecs @ (decay * (vecs.T @ (x - m)))
-    cov = (vecs * ((1.0 - np.exp(-2.0 * h * lam)) / lam)) @ vecs.T
+    cov = (vecs * (-np.expm1(-2.0 * h * lam) / lam)) @ vecs.T
     return Gaussian(mean, cov)
 
 
@@ -268,7 +268,7 @@ def propagate_law(pot: PotentialSpec, init: Gaussian, scheme: str, h: float, n: 
       stated regardless of stability: D = 1 - h lam, q_n = 2h sum_{j<n} D^{2j}.
       A law that overflows (|1 - h lam| > 1) raises ValueError.
     - ExactDiffusion, composed OU transitions: D = e^{-h lam},
-      q_n = (1 - D^{2n}) / lam.
+      q_n = (1 - D^{2n}) / lam = -expm1(-2 n h lam) / lam.
     """
     lam, vecs, m = _quadratic_eig(pot)
     if n < 0:
@@ -285,7 +285,7 @@ def propagate_law(pot: PotentialSpec, init: Gaussian, scheme: str, h: float, n: 
             if lam[0] <= 0.0:
                 raise ValueError("exact diffusion requires positive-definite precision")
             decay = np.exp(-n * h * lam)
-            noise = (1.0 - decay**2) / lam
+            noise = -np.expm1(-2.0 * n * h * lam) / lam
         else:
             raise ValueError("scheme must be LMC or ExactDiffusion")
         mean = m + vecs @ (decay * mu)
@@ -336,9 +336,27 @@ def _lmc_coupled_variance(lam: np.ndarray, h: float) -> np.ndarray:
     return 2.0 * h * bracket
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_GL_U = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
+# Taylor coefficients of _rmlmc_variance_sum below z = 1: 1/6 at z^3 and
+# (-1)^(m+1) (2^(m-1) - 2m) / m! at z^m for m = 5..25 (the rest vanish).
+_RMLMC_SERIES = np.zeros(26)
+_RMLMC_SERIES[3] = 1.0 / 6.0
+_RMLMC_SERIES[5:] = [(-1) ** (m + 1) * (2 ** (m - 1) - 2 * m) / math.factorial(m)
+                     for m in range(5, 26)]
+
+
+def _rmlmc_variance_sum(z: np.ndarray) -> np.ndarray:
+    """z^3/6 + int_0^z (e^{-x} - 1 + x)^2 dx for z >= 0.
+
+    From z = 1 up the closed form z^3/2 - z^2 + z - 2z e^{-z} - expm1(-2z)/2;
+    below, where its O(z) terms cancel to O(z^3), the Taylor series, whose
+    truncation error there is below 1e-19.
+    """
+    out = np.empty_like(z)
+    small = z < 1.0
+    out[small] = np.polynomial.polynomial.polyval(z[small], _RMLMC_SERIES)
+    zl = z[~small]
+    out[~small] = zl**3 / 2.0 - zl**2 + zl - 2.0 * zl * np.exp(-zl) - np.expm1(-2.0 * zl) / 2.0
+    return out
 
 
 def _exact_local_errors(pot: PotentialSpec, scheme: str, x: np.ndarray, h: float):
@@ -350,9 +368,8 @@ def _exact_local_errors(pot: PotentialSpec, scheme: str, x: np.ndarray, h: float
     - LMC: mean (e^{-z} - (1 - z)) xi, variance 2h (1 + phi(2z) - 2 phi(z)).
     - RMLMC, given the midpoint fraction u: mean (1 - z - e^{-z} + u z^2) xi
       (u-average: the weak error), variance 2 [int_t^h (1 - z - e^{-lam s})^2 ds
-      + int_0^t (1 - e^{-lam s})^2 ds] with t = (1 - u) h.  The u-average of
-      the variance is a 64-node Gauss-Legendre sum (exact to roundoff for
-      these analytic integrands), one array over (eigenvalue, node).
+      + int_0^t (1 - e^{-lam s})^2 ds] with t = (1 - u) h.  Its u-average is
+      (2/lam) (z^3/6 + int_0^z (e^{-x} - 1 + x)^2 dx), accurate at every z.
     """
     lam, vecs, m = _quadratic_eig(pot)
     xi = vecs.T @ (x - m)
@@ -370,15 +387,8 @@ def _exact_local_errors(pot: PotentialSpec, scheme: str, x: np.ndarray, h: float
         a_coef = np.where(live, (1.0 - z) - np.exp(-z), 0.0)
         b_coef = np.where(live, z * z, 0.0)
         mean_sq = float(np.sum((a_coef**2 + a_coef * b_coef + b_coef**2 / 3.0) * xi**2))
-        lv = lam[live][:, None]
-        w = 1.0 - lv * h
-        t = (1.0 - _GL_U) * h
-        e_t, e_h = np.exp(-lv * t), np.exp(-lv * h)
-        var = 2.0 * (
-            (w * w * (h - t) + 2.0 * w * (e_h - e_t) / lv - (e_h * e_h - e_t * e_t) / (2.0 * lv))
-            + (t + 2.0 * (e_t - 1.0) / lv - (e_t * e_t - 1.0) / (2.0 * lv))
-        )
-        strong = math.sqrt(mean_sq + float(np.sum(var @ _GL_W)))
+        var = 2.0 * _rmlmc_variance_sum(z[live]) / lam[live]
+        strong = math.sqrt(mean_sq + float(np.sum(var)))
         return weak, strong
     raise ValueError("scheme must be LMC or RMLMC")
 
@@ -510,7 +520,7 @@ def simulate_chain(pot: PotentialSpec, config: SamplerConfig, init) -> ChainResu
             raise ValueError("exact diffusion requires positive-definite precision")
         decay = np.exp(-config.h * lam)
         trans = (vecs * decay) @ vecs.T
-        noise_sd = (vecs * np.sqrt((1.0 - decay**2) / lam)) @ vecs.T
+        noise_sd = (vecs * np.sqrt(-np.expm1(-2.0 * config.h * lam) / lam)) @ vecs.T
     out = np.empty((config.samples, config.n_steps + 1, d))
     x = _draw_init(init, config.samples, d, _stream(config.seed, 0))
     out[:, 0, :] = x
@@ -594,7 +604,7 @@ def exact_kernel_1d(pot: PotentialSpec, h: float):
         raise ValueError("exact kernel requires a 1D positive-definite quadratic tag")
     lam0, m0 = float(lam[0]), float(m[0])
     decay = math.exp(-lam0 * h)
-    sd = math.sqrt((1.0 - decay * decay) / lam0)
+    sd = math.sqrt(-math.expm1(-2.0 * lam0 * h) / lam0)
 
     def kernel(x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         return m0 + decay * (x - m0) + sd * gen.standard_normal(x.shape)

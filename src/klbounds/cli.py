@@ -106,17 +106,20 @@ def cmd_bound(cfg: dict[str, str], out: str, constant: float) -> int:
         w2_init = _get(cfg, "w2_init", float, default=0.0)
         rows.append([n, "exact", gauss.toy_exact_kl(n, w, sigma), 1.0, "", ""])
     else:
-        k = bounds.KernelAssumptions(
-            L=_get(cfg, "L", float, required=True),
-            gamma=_get(cfg, "gamma", float, default=0.0),
-            c=_get(cfg, "c", float, required=True),
-            c_prime=_get(cfg, "c_prime", float, required=True),
-            b_bar=_get(cfg, "b_bar", float, default=0.0),
-            e_weak=_get(cfg, "e_weak", float, default=0.0),
-            e_strong=_get(cfg, "e_strong", float, default=0.0),
-            a=_get(cfg, "a", float, default=0.0),
-            implied_constant=constant,
-        )
+        try:
+            k = bounds.KernelAssumptions(
+                L=_get(cfg, "L", float, required=True),
+                gamma=_get(cfg, "gamma", float, default=0.0),
+                c=_get(cfg, "c", float, required=True),
+                c_prime=_get(cfg, "c_prime", float, required=True),
+                b_bar=_get(cfg, "b_bar", float, default=0.0),
+                e_weak=_get(cfg, "e_weak", float, default=0.0),
+                e_strong=_get(cfg, "e_strong", float, default=0.0),
+                a=_get(cfg, "a", float, default=0.0),
+                implied_constant=constant,
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         w2_init = _get(cfg, "w2_init", float, default=0.0)
     default_modes = ["closed_form"]
     if k.L <= 1.0:

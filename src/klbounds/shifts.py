@@ -24,10 +24,10 @@ eta_{N-1} = 1 (the final interpolating shift), i.e. N-1 free shifts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "FeasibilityError",
@@ -52,6 +52,13 @@ class FeasibilityError(ValueError):
     """Raised when a shift schedule violates the [0,1] / last-entry-1 constraints."""
 
 
+def _check_levels(**levels: float) -> None:
+    """Every level must be finite and >= 0."""
+    for name, value in levels.items():
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimpleError:
     """Additive one-step error level: d_{n+1} = L (1-eta) d_n + a."""
@@ -59,8 +66,7 @@ class SimpleError:
     a: float
 
     def __post_init__(self):
-        if self.a < 0.0:
-            raise ValueError("error level a must be >= 0")
+        _check_levels(a=self.a)
 
 
 @dataclass(frozen=True)
@@ -75,8 +81,7 @@ class WeakAwareError:
     a1: float
 
     def __post_init__(self):
-        if self.a0 < 0.0 or self.a1 < 0.0:
-            raise ValueError("error levels must be >= 0")
+        _check_levels(a0=self.a0, a1=self.a1)
 
 
 @dataclass(frozen=True)
@@ -94,10 +99,9 @@ class ShiftProblem:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.L <= 0.0:
-            raise ValueError("L must be > 0")
-        if self.d0 < 0.0 or self.c < 0.0 or self.c_prime < 0.0 or self.b < 0.0:
-            raise ValueError("d0, c, c_prime, b must be >= 0")
+        if not (math.isfinite(self.L) and self.L > 0.0):
+            raise ValueError(f"L must be finite and > 0, got {self.L!r}")
+        _check_levels(d0=self.d0, c=self.c, c_prime=self.c_prime, b=self.b)
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,7 @@ class ShiftSchedule:
         e = np.atleast_1d(np.asarray(self.eta, dtype=float))
         if e.ndim != 1 or e.size < 1:
             raise FeasibilityError("schedule must be a nonempty vector")
-        if np.any(e < -1e-15) or np.any(e > 1.0 + 1e-15):
+        if not np.all((e >= -1e-15) & (e <= 1.0 + 1e-15)):
             raise FeasibilityError("shift entries must lie in [0, 1]")
         if abs(e[-1] - 1.0) > 1e-12:
             raise FeasibilityError("final shift must equal 1")
@@ -136,23 +140,45 @@ class ObjectiveTrace:
         return self.main_term + self.final_term
 
 
-def propagate_distances(problem: ShiftProblem, eta: np.ndarray) -> np.ndarray:
-    """Distances d_0..d_{N-1} under the problem's recursion (last shift unused)."""
-    d = np.empty(problem.n)
-    d[0] = problem.d0
-    L = problem.L
+def propagate_distances(problem: ShiftProblem, eta) -> np.ndarray:
+    """Distances d_0..d_{N-1} under the problem's recursion (last shift unused).
+
+    The O(N) recursion runs on Python floats.  An overflowed distance (for
+    WeakAware, one whose square overflows) is inf.  It stands for a finite
+    value, so a full shift (eta = 1) restarts the recursion from the error
+    level and any other shift keeps it inf, never 0 * inf = nan.
+    """
+    L = float(problem.L)
+    d = float(problem.d0)
+    out = [d]
+    etas = np.asarray(eta, dtype=float)[: problem.n - 1].tolist()
+    inf = math.inf
     if isinstance(problem.error, SimpleError):
-        a = problem.error.a
-        for k in range(problem.n - 1):
-            d[k + 1] = L * (1.0 - eta[k]) * d[k] + a
+        a = float(problem.error.a)
+        for e in etas:
+            rest = 1.0 - e
+            if d < inf:
+                d = L * rest * d + a
+            else:
+                d = a if rest == 0.0 else inf
+            out.append(d)
     else:
-        a0, a1 = problem.error.a0, problem.error.a1
-        for k in range(problem.n - 1):
-            rest = 1.0 - eta[k]
-            d[k + 1] = math.sqrt(
-                L * L * rest * rest * d[k] ** 2 + 2.0 * a1 * rest * d[k] + a0 * a0
-            )
-    return d
+        # hoisted factors keep the left-to-right products of the formula
+        a0, a1 = float(problem.error.a0), float(problem.error.a1)
+        ll, two_a1, a0_sq = L * L, 2.0 * a1, a0 * a0
+        sqrt = math.sqrt
+        for e in etas:
+            rest = 1.0 - e
+            try:
+                sq = d**2
+            except OverflowError:
+                sq = inf
+            if sq < inf:
+                d = sqrt(ll * rest * rest * sq + two_a1 * rest * d + a0_sq)
+            else:
+                d = sqrt(a0_sq) if rest == 0.0 else inf
+            out.append(d)
+    return np.array(out)
 
 
 def evaluate_schedule(problem: ShiftProblem, schedule: ShiftSchedule) -> ObjectiveTrace:
@@ -168,8 +194,14 @@ def evaluate_schedule(problem: ShiftProblem, schedule: ShiftSchedule) -> Objecti
         raise FeasibilityError(f"schedule length {len(schedule)} != n = {problem.n}")
     eta = schedule.eta
     d = propagate_distances(problem, eta)
-    main = problem.c * float(np.sum(eta[:-1] ** 2 * d[:-1] ** 2))
-    final = problem.c_prime * d[-1] ** 2 + problem.b**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        main = problem.c * float(np.sum(eta[:-1] ** 2 * d[:-1] ** 2))
+        final = problem.c_prime * d[-1] ** 2 + problem.b**2
+    # nan can only be 0 * inf from an overflowed distance; the bound is then inf
+    if math.isnan(main):
+        main = math.inf
+    if math.isnan(final):
+        final = math.inf
     d.setflags(write=False)
     return ObjectiveTrace(distances=d, main_term=main, final_term=final)
 
@@ -314,8 +346,7 @@ def final_bound_with_cross_reg(
         raise ValueError("L must lie in (0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if min(a, d0, c, c_prime, b) < 0.0:
-        raise ValueError("constants must be >= 0")
+    _check_levels(a=a, d0=d0, c=c, c_prime=c_prime, b=b)
     if L == 1.0:
         s = d0 + (n - 1) * a
         return ((n - 1) * c + c_prime) * s * s / (n * n) + b * b
@@ -331,39 +362,41 @@ def final_bound_with_cross_reg(
 # ---------------------------------------------------------------------------
 
 
-def three_phase_schedule(n: int, L: float, a0: float = 0.0, a1: float = 0.0) -> ShiftSchedule:
+# Largest x with math.expm1(x) finite: log of the largest float.
+_EXPM1_MAX = math.log(sys.float_info.max)
+
+
+def three_phase_schedule(n: int, L: float) -> ShiftSchedule:
     """Feasible phase-stitched schedule for 1/2 <= L <= 2.
 
     For L <= 1: eta_k = (1/L - 1) / (L^{-(n-k)} - 1) while L^{-(n-k)} >= 2,
     then eta_k = 1/(n-k).  For L > 1: eta_k = 1 - 1/L^2 while
     n-k > 2L/(L-1), then eta_k with L (1-eta_k) = ((n-k-1)/(n-k))^2.
-    The final entry is always 1.  The error levels a0, a1 identify the
-    recursion the schedule is meant for but do not affect the entries.
+    The final entry is always 1.  Where L^{-(n-k)} overflows, the equal
+    form (1/L - 1) L^{n-k} / (1 - L^{n-k}) is used.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.5 <= L <= 2.0:
         raise ValueError("three-phase schedule requires 1/2 <= L <= 2")
-    del a0, a1
     eta = np.ones(n)
-    log_l = math.log(L)
-    for k in range(n - 1):
-        remaining = n - k
-        if L <= 1.0:
-            # L^{-(n-k)} >= 2  <=>  remaining * (-log L) >= log 2
-            if remaining * (-log_l) >= math.log(2.0):
-                try:
-                    eta[k] = math.expm1(-log_l) / math.expm1(remaining * (-log_l))
-                except OverflowError:  # L^{-(n-k)} beyond the float range
-                    eta[k] = math.expm1(-log_l) * L**remaining / -math.expm1(remaining * log_l)
-            else:
-                eta[k] = 1.0 / remaining
-        else:
-            if remaining > 2.0 * L / (L - 1.0):
-                eta[k] = 1.0 - 1.0 / (L * L)
-            else:
-                ratio = (remaining - 1.0) / remaining
-                eta[k] = 1.0 - ratio * ratio / L
+    remaining = np.arange(n, 1, -1, dtype=float)  # n - k for k < n - 1
+    if L <= 1.0:
+        neg_log = -math.log(L)
+        x = remaining * neg_log
+        eta[:-1] = 1.0 / remaining
+        # L^{-(n-k)} >= 2 <=> (n-k)(-log L) >= log 2: a prefix, as x decreases in k
+        m = int(np.count_nonzero(x >= math.log(2.0)))
+        e1 = math.expm1(neg_log)
+        eta[:m] = [
+            e1 / math.expm1(xk) if xk <= _EXPM1_MAX else e1 * L**rk / -math.expm1(-xk)
+            for rk, xk in zip(range(n, n - m, -1), x[:m].tolist())
+        ]
+    else:
+        ratio = (remaining - 1.0) / remaining
+        eta[:-1] = np.where(
+            remaining > 2.0 * L / (L - 1.0), 1.0 - 1.0 / (L * L), 1.0 - ratio * ratio / L
+        )
     return ShiftSchedule(eta)
 
 
@@ -419,6 +452,8 @@ def _polish_simple(problem: ShiftProblem, eta: np.ndarray, sweeps: int = 200) ->
 
 def _polish_weak_aware(problem: ShiftProblem, eta: np.ndarray, sweeps: int = 40) -> np.ndarray:
     """Cyclic bounded scalar minimization for the WeakAware recursion."""
+    from scipy.optimize import minimize_scalar
+
     eta = eta.copy()
     n = problem.n
     best = _objective(problem, eta)
@@ -465,6 +500,8 @@ def dp_oracle(
         raise ValueError("oracle-scale error: dp_oracle is limited to n <= 30")
     if n_eta < 100:
         raise ValueError("grid resolution must be >= 100 points per shift")
+    from scipy.optimize import minimize_scalar
+
     n, L = problem.n, problem.L
     if isinstance(problem.error, SimpleError):
         a_worst = problem.error.a

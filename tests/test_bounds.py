@@ -6,6 +6,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klbounds import gauss, shifts
 from klbounds.bounds import (
@@ -239,3 +241,67 @@ class TestValidation:
     def test_report_is_plain_record(self):
         rep = BoundReport(1.0, "closed_form", 1.0)
         assert rep.schedule is None and rep.trace is None
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+STRUCTURAL = ("L", "gamma", "c", "c_prime", "implied_constant")
+LEVELS = ("b_bar", "e_weak", "e_strong", "a")
+# finite but extreme: subnormal, tiny, squares that overflow, the largest float
+EXTREME = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e-160, 1.0, 1e160, 1e300, 1.7976931348623157e308]),
+    st.floats(0.0, 1e308),
+)
+
+
+class TestNonFiniteAndExtremeInput:
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(STRUCTURAL + LEVELS), bad=NON_FINITE)
+    def test_kernel_assumptions_reject_nan_and_non_finite_constants(self, field, bad):
+        kwargs = {"L": 1.0, field: bad}
+        if field in LEVELS and bad == math.inf:  # an overflowed exact level
+            assert getattr(KernelAssumptions(**kwargs), field) == math.inf
+        else:
+            with pytest.raises(ValueError):
+                KernelAssumptions(**kwargs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(bad=NON_FINITE, n=st.integers(1, 50))
+    def test_bounds_reject_non_finite_initial_distance(self, bad, n):
+        k = KernelAssumptions(L=1.0, c=1.0, c_prime=1.0)
+        for call in (lambda: w2_framework_bound(k, n, bad),
+                     lambda: kl_simple_bound(k, n, bad),
+                     lambda: kl_framework_bound(k, n, bad, "closed_form"),
+                     lambda: kl_framework_bound(k, n, bad, "certified")):
+            with pytest.raises(ValueError):
+                call()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        big_l=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 1e-300, 1e300]), st.floats(1e-3, 3.0)),
+        levels=st.fixed_dictionaries({name: EXTREME for name in STRUCTURAL[1:] + LEVELS}),
+        w2_init=EXTREME,
+        n=st.sampled_from([1, 2, 3, 50, 1000]),
+    )
+    def test_bounds_are_never_nan(self, big_l, levels, w2_init, n):
+        constant = max(levels.pop("implied_constant"), 1e-300)
+        k = KernelAssumptions(L=big_l, implied_constant=constant, **levels)
+        calls = {
+            "w2": lambda: w2_framework_bound(k, n, w2_init),
+            "simple": lambda: kl_simple_bound(k, n, w2_init),
+            "closed_form": lambda: kl_framework_bound(k, n, w2_init, "closed_form"),
+            "certified": lambda: kl_framework_bound(k, n, w2_init, "certified"),
+        }
+        out_of_domain = {
+            "simple": big_l > 1.0,
+            # the certified recursion needs a finite weak level a1
+            "certified": not (0.5 <= big_l <= 2.0) or math.isinf(k.e_weak + k.gamma * k.e_strong),
+        }
+        for mode, call in calls.items():
+            try:
+                value = call().value
+            except OverflowError:  # an input constant whose square overflows
+                continue
+            except ValueError:
+                assert out_of_domain.get(mode, False), mode
+                continue
+            assert not math.isnan(value) and value >= 0.0, mode

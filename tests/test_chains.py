@@ -4,6 +4,7 @@ coupled Monte Carlo against the exact Gaussian path."""
 import math
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -55,6 +56,9 @@ def lmc_law_by_steps(pot, init, h, n):
     return mean, cov
 
 
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
 def rmlmc_strong_by_nodes(pot, x, h):
     """Slow reference: the RMLMC strong error as a loop over eigenvalues x nodes."""
 
@@ -71,7 +75,7 @@ def rmlmc_strong_by_nodes(pot, x, h):
         z = lam_i * h
         a, b = (1.0 - z) - math.exp(-z), z * z
         total += (a * a + a * b + b * b / 3.0) * xi_i * xi_i
-        for u, wt in zip(chains._GL_U, chains._GL_W):
+        for u, wt in zip(0.5 * (GL_NODES + 1.0), 0.5 * GL_WEIGHTS):
             t = (1.0 - u) * h
             v = sq_integral(1.0 - z, lam_i, t, h) + sq_integral(1.0, lam_i, 0.0, t)
             total += wt * 2.0 * v
@@ -462,3 +466,62 @@ class TestPotentialSpec:
         lk = lmc_kernel_1d(UNIT, 0.1)(x, rng)
         ek = exact_kernel_1d(UNIT, 0.1)(x, rng)
         assert lk.shape == ek.shape == x.shape
+
+
+def ou_variance_mp(lam, t):
+    """(1 - e^{-2 t lam}) / lam to 50 digits."""
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(lam)
+        return float(-mpmath.expm1(-2 * mpmath.mpf(t) * lam) / lam)
+
+
+def rmlmc_strong_mp(lam, h):
+    """RMLMC strong error at the mode: the u-average of the coupled gap's
+    variance 2 [int_t^h (1 - z - e^{-lam s})^2 ds + int_0^t (1 - e^{-lam s})^2 ds],
+    t = (1 - u) h, by 50-digit quadrature over u of the interval integrals."""
+    with mpmath.workdps(50):
+        lam, h = mpmath.mpf(lam), mpmath.mpf(h)
+        w = 1 - lam * h
+
+        def var(u):
+            t = (1 - u) * h
+            e_t, e_h = mpmath.exp(-lam * t), mpmath.exp(-lam * h)
+            late = w * w * (h - t) - 2 * w * (e_t - e_h) / lam + (e_t**2 - e_h**2) / (2 * lam)
+            early = t - 2 * (1 - e_t) / lam + (1 - e_t**2) / (2 * lam)
+            return 2 * (late + early)
+
+        return float(mpmath.sqrt(mpmath.quad(var, [0, 1])))
+
+
+class TestSmallStepAccuracy:
+    @pytest.mark.parametrize("z", [1e-6, 1e-9])
+    def test_ou_variance_against_mpmath(self, z):
+        for lam in (1.0, 3.0):
+            h = z / lam
+            want = ou_variance_mp(lam, h)
+            pot = PotentialSpec.quadratic_potential(lam)
+            got = exact_diffusion_kernel(pot, 0.0, h).cov[0, 0]
+            assert got == pytest.approx(want, rel=2e-15, abs=0.0)
+            init = gauss.Gaussian(0.0, 0.0)
+            law = propagate_law(pot, init, "ExactDiffusion", h / 4, 4)
+            assert law.cov[0, 0] == pytest.approx(want, rel=2e-15, abs=0.0)
+            # the kernel views draw sd * N(0, 1) about the mode
+            xi = np.random.default_rng(5).standard_normal(3)
+            got = exact_kernel_1d(pot, h)(np.zeros(3), np.random.default_rng(5))
+            np.testing.assert_allclose(got, math.sqrt(want) * xi, rtol=2e-15)
+            cfg = SamplerConfig("ExactDiffusion", h, 1, seed=2, samples=3)
+            step = simulate_chain(pot, cfg, np.zeros(1)).iterates[:, 1, 0]
+            xi = chains._stream(2, 1).standard_normal((3, 1))[:, 0]
+            np.testing.assert_allclose(step, math.sqrt(want) * xi, rtol=2e-15)
+
+    @pytest.mark.parametrize("h", [1e-7, 1e-5, 1e-3, 0.1, 0.33, 1.0 / 3.0, 0.5, 2.0, 10.0])
+    def test_rmlmc_strong_against_mpmath(self, h):
+        # lam = 3 puts z = lam h just below (0.99) and at the series / closed-form switch z = 1
+        for lam in (1.0, 3.0):
+            got = estimate_local_errors(PotentialSpec.quadratic_potential(lam), "RMLMC", 0.0, h)
+            assert got.strong == pytest.approx(rmlmc_strong_mp(lam, h), rel=1e-15, abs=0.0)
+
+    def test_rmlmc_variance_sum_continuous_at_switch(self):
+        z = np.array([math.nextafter(1.0, 0.0), 1.0])
+        below, above = chains._rmlmc_variance_sum(z)
+        assert above == pytest.approx(below, rel=1e-15)

@@ -58,6 +58,14 @@ class TestBoundCommand:
         assert [r[1] for r in rows] == ["simple", "closed_form", "certified"]
         assert all(np.isfinite(float(r[2])) for r in rows)
 
+    @pytest.mark.parametrize("bad", ["L=nan", "c=inf", "e_strong=nan"])
+    def test_non_finite_constant_is_a_usage_error(self, tmp_path, capsys, bad):
+        # a later --set overrides an earlier one
+        code, _ = run(["bound", "--set", "n=5", "--set", "L=0.9", "--set", "c=1",
+                       "--set", "c_prime=1", "--set", bad], tmp_path)
+        assert code == 2
+        assert bad.split("=")[0] in capsys.readouterr().err
+
     def test_invalid_mode_rejected(self, tmp_path, capsys):
         code, _ = run(
             ["bound", "--set", "n=3", "--set", "toy_w=0", "--set", "toy_sigma=1",

@@ -2,6 +2,9 @@
 hand-propagated schedule evaluations."""
 
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -9,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klbounds import shifts
+from klbounds.bounds import KernelAssumptions, kl_framework_bound, toy_assumptions
 from klbounds.shifts import (
     FeasibilityError,
     ShiftProblem,
@@ -22,9 +27,65 @@ from klbounds.shifts import (
     optimal_shifts_Lgeneral,
     optimal_value_L1,
     optimal_value_Lgeneral,
+    propagate_distances,
     single_step_opt,
     three_phase_schedule,
 )
+from klbounds.verify import exact_quadratic_assumptions
+
+
+def three_phase_by_loop(n, big_l):
+    """Slow reference: the three-phase schedule one numpy entry at a time."""
+    eta = np.ones(n)
+    log_l = math.log(big_l)
+    for k in range(n - 1):
+        remaining = n - k
+        if big_l <= 1.0:
+            if remaining * (-log_l) >= math.log(2.0):
+                try:
+                    eta[k] = math.expm1(-log_l) / math.expm1(remaining * (-log_l))
+                except OverflowError:
+                    eta[k] = math.expm1(-log_l) * big_l**remaining / -math.expm1(remaining * log_l)
+            else:
+                eta[k] = 1.0 / remaining
+        else:
+            if remaining > 2.0 * big_l / (big_l - 1.0):
+                eta[k] = 1.0 - 1.0 / (big_l * big_l)
+            else:
+                ratio = (remaining - 1.0) / remaining
+                eta[k] = 1.0 - ratio * ratio / big_l
+    return eta
+
+
+def distances_by_loop(problem, eta):
+    """Slow reference: the distance recursion on numpy scalars."""
+    d = np.empty(problem.n)
+    d[0] = problem.d0
+    big_l = problem.L
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(problem.error, SimpleError):
+            a = problem.error.a
+            for k in range(problem.n - 1):
+                d[k + 1] = big_l * (1.0 - eta[k]) * d[k] + a
+        else:
+            a0, a1 = problem.error.a0, problem.error.a1
+            for k in range(problem.n - 1):
+                rest = 1.0 - eta[k]
+                d[k + 1] = math.sqrt(
+                    big_l * big_l * rest * rest * d[k] ** 2 + 2.0 * a1 * rest * d[k] + a0 * a0
+                )
+    return d
+
+
+def certified_by_loop(k, n, w2_init):
+    """The certified bound from the reference loops, in evaluate_schedule's order."""
+    eta = three_phase_by_loop(n, k.L)
+    a1 = k.e_weak + k.gamma * k.e_strong
+    pr = ShiftProblem(n, k.L, w2_init, WeakAwareError(k.e_strong, a1), c=k.c, c_prime=k.c_prime)
+    d = distances_by_loop(pr, eta)
+    main = pr.c * float(np.sum(eta[:-1] ** 2 * d[:-1] ** 2))
+    final = pr.c_prime * d[-1] ** 2 + pr.b**2
+    return main + final + k.b_bar**2
 
 
 def grid_min_single_step(d, a, m, points=400_001):
@@ -310,6 +371,103 @@ class TestThreePhase:
         with pytest.raises(ValueError):
             three_phase_schedule(5, 2.5)
 
+    def test_overflow_switch_is_where_expm1_overflows(self):
+        assert math.isfinite(math.expm1(shifts._EXPM1_MAX))
+        with pytest.raises(OverflowError):
+            math.expm1(math.nextafter(shifts._EXPM1_MAX, math.inf))
+
+
+# L = 1/2 switches to the L^{n-k} form from n - k = 1025 on, L = 0.9 from 6737 on
+GRID_L = [0.5, math.nextafter(0.5, 1.0), 0.5 + 1e-9, 0.6, 0.9, 0.99, 0.999, 0.9999999,
+          1.0, 1.0000001, 1.001, 1.5, 2.0 - 1e-12, 2.0]
+GRID_L += [float(v) for v in np.random.default_rng(16).uniform(0.5, 2.0, 6)]
+GRID_N = [1, 2, 3, 17, 1000, 7000, 30_000]
+
+
+class TestAgainstLoops:
+    @pytest.mark.parametrize("n", GRID_N)
+    def test_three_phase_bitwise(self, n):
+        for big_l in GRID_L:
+            assert np.array_equal(three_phase_schedule(n, big_l).eta, three_phase_by_loop(n, big_l))
+
+    @pytest.mark.parametrize("n", GRID_N)
+    def test_distances_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        for big_l in GRID_L:
+            three_phase = three_phase_by_loop(n, big_l)
+            uniform = rng.uniform(0.0, 1.0, n)
+            uniform[-1] = 1.0
+            a, a0, a1 = (float(v) for v in rng.uniform(0.0, 2.0, 3))
+            d0 = float(rng.uniform(0.0, 5.0))
+            for error in (SimpleError(a), WeakAwareError(a0, 0.0), WeakAwareError(a0, a1)):
+                pr = ShiftProblem(n, big_l, d0, error, c=float(rng.uniform(0.1, 3.0)))
+                for eta in (three_phase, uniform):
+                    want = distances_by_loop(pr, eta)
+                    assert np.array_equal(propagate_distances(pr, eta), want, equal_nan=True)
+                    # a Python list of shifts, as the oracle's polish passes
+                    assert np.array_equal(propagate_distances(pr, list(eta)), want, equal_nan=True)
+
+    def test_distances_bitwise_over_many_levels(self):
+        # a rounding change in one operation (a0 * a0 against a0**2, say) shows
+        # on about 1 in 1000 inputs, so this runs short recursions on many draws
+        rng = np.random.default_rng(17)
+        for a0, a1, d0, big_l in rng.uniform(0.0, [3.0, 3.0, 5.0, 2.0], (3000, 4)):
+            pr = ShiftProblem(30, big_l + 0.01, d0, WeakAwareError(a0, a1))
+            eta = np.append(rng.uniform(0.0, 1.0, 29), 1.0)
+            assert np.array_equal(propagate_distances(pr, eta), distances_by_loop(pr, eta))
+
+    @pytest.mark.parametrize("n, lam, h, x0", [
+        (7000, 1.0, 0.02, 1.5), (9500, 0.7, 0.05, -3.0), (5000, 2.0, 0.005, 4.0),
+    ])
+    def test_certified_lmc_bitwise(self, n, lam, h, x0):
+        k = exact_quadratic_assumptions(lam, h, n, x0)
+        d0 = math.sqrt(x0 * x0 + 1.0 / lam)
+        assert kl_framework_bound(k, n, d0, "certified").value == certified_by_loop(k, n, d0)
+
+    @pytest.mark.parametrize("n, w, sigma", [
+        (17000, 0.05, 0.3), (10_000, 0.2, 1.5), (30_000, 0.02, 0.7),
+    ])
+    def test_certified_toy_bitwise(self, n, w, sigma):
+        k = toy_assumptions(w, sigma)
+        assert kl_framework_bound(k, n, 0.0, "certified").value == certified_by_loop(k, n, 0.0)
+
+
+class TestOverflow:
+    def test_certified_bound_is_inf_not_nan(self):
+        # d^2 overflows from the first step; a1 = 0 made this 0 * inf = nan
+        k = KernelAssumptions(L=2.0, c=1.0, c_prime=1.0, e_strong=1e200)
+        rep = kl_framework_bound(k, 1000, 0.0, "certified")
+        assert rep.value == math.inf
+        assert not np.any(np.isnan(rep.trace.distances))
+
+    def test_overflowed_distance_restarts_on_full_shift(self):
+        pr = ShiftProblem(4, 1.5, 1e300, WeakAwareError(0.5, 0.0))
+        d = propagate_distances(pr, np.array([0.5, 1.0, 0.0, 1.0]))
+        assert d[1] == math.inf  # d0^2 overflows
+        assert d[2] == 0.5  # eta = 1 after an overflowed distance: back to a0
+        assert d[3] == pytest.approx(0.75 * math.sqrt(1.0 + 1.0 / 2.25), rel=1e-15)
+        simple = ShiftProblem(3, 2.0, 1e308, SimpleError(0.25))
+        d = propagate_distances(simple, np.array([0.0, 1.0, 1.0]))
+        assert list(d) == [1e308, math.inf, 0.25]
+
+    def test_objective_with_overflowed_distance_is_never_nan(self):
+        for c, c_prime in ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)):
+            pr = ShiftProblem(3, 2.0, 1e200, WeakAwareError(1e200, 0.0), c=c, c_prime=c_prime)
+            for eta in ([0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.5, 1.0, 1.0]):
+                tr = evaluate_schedule(pr, eta)
+                assert not math.isnan(tr.main_term) and not math.isnan(tr.final_term)
+                if c == c_prime == 1.0:  # the exact objective exceeds 1e400
+                    assert tr.total == math.inf
+
+
+def test_import_leaves_scipy_out():
+    # only the oracle needs scipy.optimize, so importing klbounds must not load scipy
+    src = os.path.dirname(os.path.dirname(shifts.__file__))
+    code = "import sys, klbounds; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"
+
 
 class TestDpOracle:
     def test_simple_golden_values(self):
@@ -376,3 +534,47 @@ def test_any_feasible_schedule_dominates_optimum(n, a, d0, data):
     pr = ShiftProblem(n, 1.0, d0, SimpleError(a))
     total = evaluate_schedule(pr, ShiftSchedule(eta)).total
     assert total >= optimal_value_L1(n, a, d0) - 1e-9
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(bad=NON_FINITE, field=st.sampled_from(["L", "d0", "c", "c_prime", "b", "a", "a0", "a1"]))
+def test_shift_constructors_reject_non_finite(bad, field):
+    if field == "a":
+        with pytest.raises(ValueError):
+            SimpleError(bad)
+        return
+    if field in ("a0", "a1"):
+        with pytest.raises(ValueError):
+            WeakAwareError(**{"a0": 1.0, "a1": 1.0, field: bad})
+        return
+    kwargs = {"n": 3, "L": 1.0, "d0": 1.0, "error": SimpleError(0.5), field: bad}
+    with pytest.raises(ValueError):
+        ShiftProblem(**kwargs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bad=NON_FINITE, n=st.integers(1, 20), data=st.data())
+def test_schedule_rejects_non_finite_entries(bad, n, data):
+    eta = np.ones(n)
+    eta[data.draw(st.integers(0, n - 1))] = bad
+    with pytest.raises(FeasibilityError):
+        ShiftSchedule(eta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    big_l=st.floats(0.5, 2.0),
+    d0=st.sampled_from([0.0, 1.0, 1e100, 1e154, 1e200, 1.7976931348623157e308]),
+    a0=st.sampled_from([0.0, 1e-300, 1.0, 1e160, 1e300]),
+    a1=st.sampled_from([0.0, 1e-300, 1.0, 1e160, 1e300]),
+    n=st.sampled_from([1, 2, 5, 1000]),
+    c=st.sampled_from([0.0, 1.0, 1e300]),
+)
+def test_extreme_weak_aware_objective_is_never_nan(big_l, d0, a0, a1, n, c):
+    pr = ShiftProblem(n, big_l, d0, WeakAwareError(a0, a1), c=c, c_prime=c)
+    tr = evaluate_schedule(pr, three_phase_schedule(n, big_l))
+    assert not np.any(np.isnan(tr.distances))
+    assert not math.isnan(tr.total) and tr.total >= 0.0
