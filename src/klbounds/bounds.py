@@ -13,10 +13,10 @@ Two modes are exposed throughout:
   upper bound.
 
 Invalid input raises ValueError (see KernelAssumptions; the simple and
-certified modes need finite error levels).  A constant whose square
-overflows a float raises OverflowError.  A bound is never nan: a 0 * inf
-left by an overflow (the exact value is finite but out of range) is
-reported as inf, which is still a valid upper bound.
+certified modes need finite error levels).  A square or power that
+overflows a float is inf, so a bound whose exact value is out of range is
+inf, never an OverflowError.  A bound is never nan: a 0 * inf left by an
+overflow is also reported as inf, which is still a valid upper bound.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "w2_framework_bound",
     "kl_simple_bound",
     "kl_framework_bound",
-    "renyi_simple_bound",
     "last_step_substitution",
     "toy_assumptions",
     "n_bar",
@@ -89,6 +88,14 @@ def _nan_to_inf(value: float) -> float:
     return math.inf if math.isnan(value) else value
 
 
+def _pow(x: float, p: int) -> float:
+    """x**p, or inf where the power overflows a float."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
 def n_bar(L: float, n: int) -> float:
     """Effective horizon N ∧ 1/(1-L)_+; equals N whenever L >= 1."""
     if L >= 1.0:
@@ -125,13 +132,12 @@ def w2_framework_bound(k: KernelAssumptions, n: int, w2_init: float) -> BoundRep
     drift = k.e_weak + k.gamma * k.e_strong
     if k.L <= 1.0:
         nb = n_bar(k.L, n)
-        raw = k.L**n * w2_init**2 + nb**2 * drift**2 + nb * k.e_strong**2
+        raw = k.L**n * _pow(w2_init, 2) + nb**2 * _pow(drift, 2) + nb * _pow(k.e_strong, 2)
     else:
-        bracket = w2_init**2 + drift**2 / (k.L - 1.0) ** 2 + k.e_strong**2 / (k.L - 1.0)
-        try:
-            raw = k.L ** (3 * n) * bracket
-        except OverflowError:  # L^{3N} beyond the float range
-            raw = math.inf if bracket > 0.0 else 0.0
+        bracket = (_pow(w2_init, 2) + _pow(drift, 2) / _pow(k.L - 1.0, 2)
+                   + _pow(k.e_strong, 2) / (k.L - 1.0))
+        # L^{3N} may be inf; a zero bracket keeps the bound 0, not inf * 0
+        raw = _pow(k.L, 3 * n) * bracket if bracket else 0.0
     return BoundReport(_nan_to_inf(k.implied_constant * raw), "closed_form", k.implied_constant)
 
 
@@ -147,18 +153,6 @@ def kl_simple_bound(k: KernelAssumptions, n: int, w2_init: float) -> BoundReport
         n, k.a, w2_init, k.L, k.c, k.c_prime, k.b_bar
     )
     return BoundReport(_nan_to_inf(value), "closed_form", 1.0)
-
-
-def renyi_simple_bound(order: float, k: KernelAssumptions, n: int, winf_init: float) -> BoundReport:
-    """Renyi-order analog of kl_simple_bound under W_inf one-step bias.
-
-    The arithmetic is identical; the caller supplies (c, c', b_bar)
-    already valid at Renyi order ``order`` and winf_init = |x - y| for the
-    Dirac-to-Dirac semantics.  order = 1 recovers kl_simple_bound.
-    """
-    if order < 1.0:
-        raise ValueError("Renyi order must be >= 1")
-    return kl_simple_bound(k, n, winf_init)
 
 
 def kl_framework_bound(
@@ -185,10 +179,12 @@ def kl_framework_bound(
         nb = n_bar(k.L, n)
         strong_factor = max((k.L - 1.0) * n, math.log(nb))
         raw = (k.c + k.c_prime) * (
-            _ratio_lm1(k.L, n) * w2_init**2 + strong_factor * a0**2 + nb * a1**2
+            _ratio_lm1(k.L, n) * _pow(w2_init, 2) + strong_factor * _pow(a0, 2)
+            + nb * _pow(a1, 2)
         )
         return BoundReport(
-            _nan_to_inf(k.implied_constant * raw + k.b_bar**2), "closed_form", k.implied_constant
+            _nan_to_inf(k.implied_constant * raw + _pow(k.b_bar, 2)), "closed_form",
+            k.implied_constant,
         )
     if mode == "certified":
         if not 0.5 <= k.L <= 2.0:
@@ -199,7 +195,7 @@ def kl_framework_bound(
         )
         trace = shifts.evaluate_schedule(problem, schedule)
         return BoundReport(
-            trace.total + k.b_bar**2, "certified", 1.0, schedule=schedule, trace=trace
+            trace.total + _pow(k.b_bar, 2), "certified", 1.0, schedule=schedule, trace=trace
         )
     raise ValueError(f"unknown mode {mode!r}")
 

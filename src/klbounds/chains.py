@@ -97,9 +97,10 @@ class PotentialSpec:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if self.alpha > self.beta:
-            raise ValueError("alpha must be <= beta")
-        if self.zeta0 < 0.0 or self.zeta1 < 0.0:
+        # the negated comparisons also reject nan
+        if not self.alpha <= self.beta:
+            raise ValueError("alpha and beta must not be nan, and alpha <= beta")
+        if not (self.zeta0 >= 0.0 and self.zeta1 >= 0.0):
             raise ValueError("zeta0, zeta1 must be >= 0")
         if self.quadratic is not None:
             probe = np.linspace(1.0, 2.0, self.dimension)
@@ -141,6 +142,12 @@ class PotentialSpec:
         return np.stack([np.asarray(self.gradient(row), dtype=float) for row in x])
 
 
+def _check_step(h: float) -> None:
+    """A step size must be finite and > 0."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be finite and > 0, got {h!r}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     scheme: str
@@ -152,8 +159,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.h <= 0.0:
-            raise ValueError("h must be > 0")
+        _check_step(self.h)
         if self.n_steps < 0 or self.samples < 1:
             raise ValueError("n_steps must be >= 0 and samples >= 1")
 
@@ -173,51 +179,70 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+class _NonFiniteGradient(ValueError):
+    """A gradient evaluation returned inf or nan."""
+
+
+def _grad(pot: PotentialSpec, x: np.ndarray) -> np.ndarray:
+    """grad V at a state (d,) or a batch (m, d); rejects inf and nan."""
+    g = pot.grad_batch(x)
+    if not np.all(np.isfinite(g)):
+        raise _NonFiniteGradient("non-finite gradient")
+    return g
+
+
+def _fraction(u, x: np.ndarray) -> np.ndarray:
+    """Midpoint fraction u (a scalar, or (m,) for a batch x (m, d)) as a column."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim and u.shape != x.shape[:-1]:
+        raise ValueError("u must be a scalar or hold one entry per batch row")
+    if not np.all((u >= 0.0) & (u <= 1.0)):
+        raise ValueError("u must lie in [0, 1]")
+    return u[..., None]
+
+
 def lmc_step(pot: PotentialSpec, x, h: float, noise) -> np.ndarray:
-    """One Euler-Maruyama step: x - h grad V(x) + sqrt(2 h) * noise."""
+    """One Euler-Maruyama step x - h grad V(x) + sqrt(2 h) * noise.
+
+    x is one state (d,) or a batch (m, d) with noise of the same shape.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     noise = np.atleast_1d(np.asarray(noise, dtype=float))
     if noise.shape != x.shape:
         raise ValueError("noise must match the state shape")
-    g = np.asarray(pot.gradient(x), dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("non-finite gradient")
-    return x - h * g + math.sqrt(2.0 * h) * noise
+    return x - h * _grad(pot, x) + math.sqrt(2.0 * h) * noise
 
 
-def rmlmc_increments(u: float, h: float, xi1, xi2):
+def rmlmc_increments(u, h: float, xi1, xi2):
     """Correlated Brownian increments (B_{uh}, B_h) with Cov [[uh, uh], [uh, h]].
 
     B_{uh} = sqrt(u h) xi1 and B_h = B_{uh} + sqrt((1-u) h) xi2 for
-    independent standard normal xi1, xi2.
+    independent standard normal xi1, xi2; u is a scalar, or (m,) for
+    batches (m, d).
     """
     xi1 = np.atleast_1d(np.asarray(xi1, dtype=float))
     xi2 = np.atleast_1d(np.asarray(xi2, dtype=float))
-    b_uh = math.sqrt(u * h) * xi1
-    b_h = b_uh + math.sqrt((1.0 - u) * h) * xi2
-    return b_uh, b_h
+    u = _fraction(u, xi1)
+    b_uh = np.sqrt(u * h) * xi1
+    return b_uh, b_uh + np.sqrt((1.0 - u) * h) * xi2
 
 
-def rmlmc_step(pot: PotentialSpec, x, h: float, u: float, b_uh, b_h) -> np.ndarray:
+def rmlmc_step(pot: PotentialSpec, x, h: float, u, b_uh, b_h) -> np.ndarray:
     """One randomized-midpoint step.
 
     A preliminary LMC step of length u*h supplies the gradient evaluation
     point: x+ = x - u h grad V(x) + sqrt(2) B_{uh}, and the returned iterate
-    is x - h grad V(x+) + sqrt(2) B_h.  The increments must carry the
-    correlation structure of rmlmc_increments.
+    is x - h grad V(x+) + sqrt(2) B_h.  x is one state (d,) with a scalar u,
+    or a batch (m, d) with u a scalar or (m,).  The increments must carry
+    the correlation structure of rmlmc_increments.
     """
-    if not 0.0 <= u <= 1.0:
-        raise ValueError("u must lie in [0, 1]")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     b_uh = np.atleast_1d(np.asarray(b_uh, dtype=float))
     b_h = np.atleast_1d(np.asarray(b_h, dtype=float))
     if b_uh.shape != x.shape or b_h.shape != x.shape:
         raise ValueError("increments must match the state shape")
-    x_mid = x - u * h * np.asarray(pot.gradient(x), dtype=float) + math.sqrt(2.0) * b_uh
-    g = np.asarray(pot.gradient(x_mid), dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("non-finite gradient")
-    return x - h * g + math.sqrt(2.0) * b_h
+    x_mid = x - (_fraction(u, x) * h) * _grad(pot, x) + math.sqrt(2.0) * b_uh
+    return x - h * _grad(pot, x_mid) + math.sqrt(2.0) * b_h
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +257,24 @@ def _quadratic_eig(pot: PotentialSpec):
     return tag._eigvals, tag._eigvecs, tag.mode
 
 
-def exact_diffusion_kernel(pot: PotentialSpec, x, h: float) -> Gaussian:
-    """Exact OU transition law N(m + e^{-hP}(x-m), P^{-1}(I - e^{-2hP}))."""
-    lam, vecs, m = _quadratic_eig(pot)
+def _ou(lam: np.ndarray, t: float):
+    """OU decay e^{-t lam} and variance (1 - e^{-2 t lam}) / lam over time t.
+
+    lam holds the precision's eigenvalues in ascending order.
+    """
     if lam[0] <= 0.0:
         raise ValueError("exact diffusion requires positive-definite precision")
+    return np.exp(-t * lam), -np.expm1(-2.0 * t * lam) / lam
+
+
+def exact_diffusion_kernel(pot: PotentialSpec, x, h: float) -> Gaussian:
+    """Exact OU transition law N(m + e^{-hP}(x-m), P^{-1}(I - e^{-2hP}))."""
+    _check_step(h)
+    lam, vecs, m = _quadratic_eig(pot)
+    decay, var = _ou(lam, h)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    decay = np.exp(-h * lam)
     mean = m + vecs @ (decay * (vecs.T @ (x - m)))
-    cov = (vecs * (-np.expm1(-2.0 * h * lam) / lam)) @ vecs.T
-    return Gaussian(mean, cov)
+    return Gaussian(mean, (vecs * var) @ vecs.T)
 
 
 def _lmc_geometric_sum(z, n: int):
@@ -270,6 +303,7 @@ def propagate_law(pot: PotentialSpec, init: Gaussian, scheme: str, h: float, n: 
     - ExactDiffusion, composed OU transitions: D = e^{-h lam},
       q_n = (1 - D^{2n}) / lam = -expm1(-2 n h lam) / lam.
     """
+    _check_step(h)
     lam, vecs, m = _quadratic_eig(pot)
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -282,10 +316,7 @@ def propagate_law(pot: PotentialSpec, init: Gaussian, scheme: str, h: float, n: 
             decay = (1.0 - h * lam) ** n
             noise = 2.0 * h * _lmc_geometric_sum(h * lam, n)
         elif scheme == "ExactDiffusion":
-            if lam[0] <= 0.0:
-                raise ValueError("exact diffusion requires positive-definite precision")
-            decay = np.exp(-n * h * lam)
-            noise = -np.expm1(-2.0 * n * h * lam) / lam
+            decay, noise = _ou(lam, n * h)
         else:
             raise ValueError("scheme must be LMC or ExactDiffusion")
         mean = m + vecs @ (decay * mu)
@@ -381,41 +412,42 @@ def _exact_local_errors(pot: PotentialSpec, scheme: str, x: np.ndarray, h: float
         var = np.where(live, _lmc_coupled_variance(lam, h), 0.0)
         strong = math.sqrt(weak * weak + float(np.sum(var)))
         return weak, strong
-    if scheme == "RMLMC":
-        coef = np.where(live, np.exp(-z) - (1.0 - z + 0.5 * z * z), 0.0)
-        weak = float(np.linalg.norm(coef * xi))
-        a_coef = np.where(live, (1.0 - z) - np.exp(-z), 0.0)
-        b_coef = np.where(live, z * z, 0.0)
-        mean_sq = float(np.sum((a_coef**2 + a_coef * b_coef + b_coef**2 / 3.0) * xi**2))
-        var = 2.0 * _rmlmc_variance_sum(z[live]) / lam[live]
-        strong = math.sqrt(mean_sq + float(np.sum(var)))
-        return weak, strong
-    raise ValueError("scheme must be LMC or RMLMC")
+    coef = np.where(live, np.exp(-z) - (1.0 - z + 0.5 * z * z), 0.0)
+    weak = float(np.linalg.norm(coef * xi))
+    a_coef = np.where(live, (1.0 - z) - np.exp(-z), 0.0)
+    b_coef = np.where(live, z * z, 0.0)
+    mean_sq = float(np.sum((a_coef**2 + a_coef * b_coef + b_coef**2 / 3.0) * xi**2))
+    var = 2.0 * _rmlmc_variance_sum(z[live]) / lam[live]
+    strong = math.sqrt(mean_sq + float(np.sum(var)))
+    return weak, strong
 
 
 def _mc_local_errors(pot, scheme, x, h, samples, seed, inner_steps):
-    """Coupled Monte Carlo local errors with an inner Euler diffusion grid."""
+    """Coupled Monte Carlo local errors with an inner Euler diffusion grid.
+
+    The diffusion endpoint runs inner_steps LMC steps of length h /
+    inner_steps; the scheme's step X_hat (LMC or RMLMC) reads the same
+    Brownian path.
+    """
     if inner_steps < 64:
         raise ValueError("inner_steps must be >= 64 for the diffusion endpoint")
     d = pot.dimension
     gen = _stream(seed, 0)
     dt = h / inner_steps
-    db = math.sqrt(dt) * gen.standard_normal((inner_steps, samples, d))
-    # diffusion endpoint via fine Euler on the shared path
-    xs = np.broadcast_to(x, (samples, d)).copy()
-    b_cum = np.zeros((samples, d))
-    b_grid = np.empty((inner_steps + 1, samples, d))
-    b_grid[0] = 0.0
+    xi = gen.standard_normal((inner_steps, samples, d))
+    x0 = np.broadcast_to(x, (samples, d))
+    xs = x0
     for k in range(inner_steps):
-        xs = xs - dt * pot.grad_batch(xs) + math.sqrt(2.0) * db[k]
-        b_cum += db[k]
-        b_grid[k + 1] = b_cum
-    b_h = b_cum
+        xs = lmc_step(pot, xs, dt, xi[k])
+    # the shared path on the inner grid, b_grid[k] = B_{k dt}, from the
+    # increments sqrt(dt) xi scaled in place
+    xi *= math.sqrt(dt)
+    b_grid = np.zeros((inner_steps + 1, samples, d))
+    np.cumsum(xi, axis=0, out=b_grid[1:])
+    b_h = b_grid[-1]
     if scheme == "LMC":
-        x_hat = np.broadcast_to(x, (samples, d)) - h * pot.grad_batch(
-            np.broadcast_to(x, (samples, d))
-        ) + math.sqrt(2.0) * b_h
-    elif scheme == "RMLMC":
+        x_hat = lmc_step(pot, x0, h, b_h / math.sqrt(h))
+    else:
         u = gen.random(samples)
         zeta = gen.standard_normal((samples, d))
         t = u * h
@@ -427,11 +459,7 @@ def _mc_local_errors(pot, scheme, x, h, samples, seed, inner_steps):
         # Brownian bridge between surrounding grid points (exact joint law)
         bridge_var = (dt - (t - t0)) * (t - t0) / dt
         b_uh = lo + frac[:, None] * (hi - lo) + np.sqrt(bridge_var)[:, None] * zeta
-        x0 = np.broadcast_to(x, (samples, d))
-        x_mid = x0 - (u * h)[:, None] * pot.grad_batch(x0) + math.sqrt(2.0) * b_uh
-        x_hat = x0 - h * pot.grad_batch(x_mid) + math.sqrt(2.0) * b_h
-    else:
-        raise ValueError("scheme must be LMC or RMLMC")
+        x_hat = rmlmc_step(pot, x0, h, u, b_uh, b_h)
     diff = x_hat - xs
     mean_diff = diff.mean(axis=0)
     weak = float(np.linalg.norm(mean_diff))
@@ -460,6 +488,9 @@ def estimate_local_errors(
     (zero standard errors); other potentials use coupled Monte Carlo, and
     the estimate is flagged underpowered when 3 standard errors exceed it.
     """
+    if scheme not in ("LMC", "RMLMC"):
+        raise ValueError("scheme must be LMC or RMLMC")
+    _check_step(h)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if pot.quadratic is not None:
         weak, strong = _exact_local_errors(pot, scheme, x, h)
@@ -513,36 +544,35 @@ def simulate_chain(pot: PotentialSpec, config: SamplerConfig, init) -> ChainResu
     independent Philox stream keyed (seed, k+1), so any prefix of the chain
     is reproducible bit-for-bit.
     """
-    d = pot.dimension
+    d, h, samples = pot.dimension, config.h, config.samples
     if config.scheme == "ExactDiffusion":
         lam, vecs, m = _quadratic_eig(pot)
-        if lam[0] <= 0.0:
-            raise ValueError("exact diffusion requires positive-definite precision")
-        decay = np.exp(-config.h * lam)
+        decay, var = _ou(lam, h)
         trans = (vecs * decay) @ vecs.T
-        noise_sd = (vecs * np.sqrt(-np.expm1(-2.0 * config.h * lam) / lam)) @ vecs.T
-    out = np.empty((config.samples, config.n_steps + 1, d))
-    x = _draw_init(init, config.samples, d, _stream(config.seed, 0))
+        noise_sd = (vecs * np.sqrt(var)) @ vecs.T
+    out = np.empty((samples, config.n_steps + 1, d))
+    x = _draw_init(init, samples, d, _stream(config.seed, 0))
     out[:, 0, :] = x
-    # overflow in an unstable chain is caught by the finiteness check below
+    # an overflow or a non-finite gradient in an unstable chain is reported
+    # as divergence at that step
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.n_steps):
             gen = _stream(config.seed, k + 1)
-            if config.scheme == "LMC":
-                noise = gen.standard_normal((config.samples, d))
-                x = x - config.h * pot.grad_batch(x) + math.sqrt(2.0 * config.h) * noise
-            elif config.scheme == "RMLMC":
-                u = gen.random(config.samples)
-                xi1 = gen.standard_normal((config.samples, d))
-                xi2 = gen.standard_normal((config.samples, d))
-                b_uh = np.sqrt(u * config.h)[:, None] * xi1
-                b_h = b_uh + np.sqrt((1.0 - u) * config.h)[:, None] * xi2
-                x_mid = x - (u * config.h)[:, None] * pot.grad_batch(x) + math.sqrt(2.0) * b_uh
-                x = x - config.h * pot.grad_batch(x_mid) + math.sqrt(2.0) * b_h
-            else:
-                xi = gen.standard_normal((config.samples, d))
-                x = m + (x - m) @ trans.T + xi @ noise_sd.T
-            if not np.all(np.isfinite(x)):
+            try:
+                if config.scheme == "LMC":
+                    x = lmc_step(pot, x, h, gen.standard_normal((samples, d)))
+                elif config.scheme == "RMLMC":
+                    u = gen.random(samples)
+                    b_uh, b_h = rmlmc_increments(
+                        u, h, gen.standard_normal((samples, d)), gen.standard_normal((samples, d))
+                    )
+                    x = rmlmc_step(pot, x, h, u, b_uh, b_h)
+                else:
+                    x = m + (x - m) @ trans.T + gen.standard_normal((samples, d)) @ noise_sd.T
+                diverged = not np.all(np.isfinite(x))
+            except _NonFiniteGradient:
+                diverged = True
+            if diverged:
                 raise ValueError(f"chain diverged at step {k + 1}")
             out[:, k + 1, :] = x
     return ChainResult(iterates=out, config=config)
@@ -591,8 +621,8 @@ def lmc_kernel_1d(pot: PotentialSpec, h: float):
         raise ValueError("unsupported dimension: auxiliary kernels are 1D")
 
     def kernel(x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        g = pot.grad_batch(x.reshape(-1, 1)).reshape(x.shape)
-        return x - h * g + math.sqrt(2.0 * h) * gen.standard_normal(x.shape)
+        noise = gen.standard_normal(x.shape).reshape(-1, 1)
+        return lmc_step(pot, x.reshape(-1, 1), h, noise).reshape(x.shape)
 
     return kernel
 
@@ -600,11 +630,10 @@ def lmc_kernel_1d(pot: PotentialSpec, h: float):
 def exact_kernel_1d(pot: PotentialSpec, h: float):
     """1D exact OU kernel as a sample-cloud map (quadratic tag required)."""
     lam, _, m = _quadratic_eig(pot)
-    if pot.dimension != 1 or lam[0] <= 0.0:
-        raise ValueError("exact kernel requires a 1D positive-definite quadratic tag")
-    lam0, m0 = float(lam[0]), float(m[0])
-    decay = math.exp(-lam0 * h)
-    sd = math.sqrt(-math.expm1(-2.0 * lam0 * h) / lam0)
+    if pot.dimension != 1:
+        raise ValueError("exact kernel requires a 1D quadratic tag")
+    decay, var = _ou(lam, h)
+    decay, sd, m0 = float(decay[0]), math.sqrt(var[0]), float(m[0])
 
     def kernel(x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         return m0 + decay * (x - m0) + sd * gen.standard_normal(x.shape)

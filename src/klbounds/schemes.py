@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 __all__ = [
     "langevin_kernel_params",
@@ -23,8 +23,6 @@ __all__ = [
     "rmlmc_cross_reg",
     "gradient_bound",
     "recursive_gradient_control",
-    "SchemeCoefficients",
-    "scheme_coefficients",
     "PlanParams",
     "PlanResult",
     "plan_iterations",
@@ -178,69 +176,6 @@ def recursive_gradient_control(
         return g2_phase1
     g2_n0 = g2_phase1 if use_phase1 else 0.0
     return 2.0 * (g2_n0 + beta * d + d2 * beta)
-
-
-# ---------------------------------------------------------------------------
-# Aggregated per-scheme coefficients
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SchemeCoefficients:
-    """Framework constants of one scheme at a fixed step size.
-
-    L, gamma, c are the exact diffusion-side values at the construction h;
-    the callables take (h, grad_norm, d) so step-size sweeps reuse one
-    object.  ``constant`` multiplies every discretization-side formula.
-    """
-
-    scheme: str
-    L: float
-    gamma: float
-    c: float
-    c_prime_fn: Callable[[float], float]
-    b_fn: Callable[[float, float, int], float]
-    e_weak_fn: Callable[[float, float, int], float]
-    e_strong_fn: Callable[[float, float, int], float]
-    constant: float = 1.0
-
-
-def scheme_coefficients(
-    scheme: str, alpha: float, beta: float, h: float,
-    zeta0: float = 0.0, zeta1: float = 0.0, constant: float = 1.0,
-) -> SchemeCoefficients:
-    """Assemble SchemeCoefficients for LMC, LMC_SMOOTH, or RMLMC."""
-    big_l, gamma, c = langevin_kernel_params(alpha, beta, h)
-    if scheme == "LMC":
-        return SchemeCoefficients(
-            scheme, big_l, gamma, c,
-            c_prime_fn=lambda hh: lmc_cross_reg(beta, 1, hh, 0.0, constant)[0],
-            b_fn=lambda hh, g, dd: lmc_cross_reg(beta, dd, hh, g, constant)[1],
-            e_weak_fn=lambda hh, g, dd: lmc_local_errors(beta, dd, hh, g, constant)[0],
-            e_strong_fn=lambda hh, g, dd: lmc_local_errors(beta, dd, hh, g, constant)[1],
-            constant=constant,
-        )
-    if scheme == "LMC_SMOOTH":
-        return SchemeCoefficients(
-            scheme, big_l, gamma, c,
-            c_prime_fn=lambda hh: lmc_cross_reg(beta, 1, hh, 0.0, constant)[0],
-            b_fn=lambda hh, g, dd: lmc_cross_reg(beta, dd, hh, g, constant)[1],
-            e_weak_fn=lambda hh, g, dd: lmc_smooth_weak_error(
-                beta, zeta0, zeta1, dd, hh, g, constant
-            ),
-            e_strong_fn=lambda hh, g, dd: lmc_local_errors(beta, dd, hh, g, constant)[1],
-            constant=constant,
-        )
-    if scheme == "RMLMC":
-        return SchemeCoefficients(
-            scheme, big_l, gamma, c,
-            c_prime_fn=lambda hh: rmlmc_cross_reg(beta, 1, hh, 0.0, constant)[0],
-            b_fn=lambda hh, g, dd: rmlmc_cross_reg(beta, dd, hh, g, constant)[1],
-            e_weak_fn=lambda hh, g, dd: rmlmc_local_errors(beta, dd, hh, g, constant)[0],
-            e_strong_fn=lambda hh, g, dd: rmlmc_local_errors(beta, dd, hh, g, constant)[1],
-            constant=constant,
-        )
-    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -194,9 +194,10 @@ def evaluate_schedule(problem: ShiftProblem, schedule: ShiftSchedule) -> Objecti
         raise FeasibilityError(f"schedule length {len(schedule)} != n = {problem.n}")
     eta = schedule.eta
     d = propagate_distances(problem, eta)
+    # numpy squares overflow to inf where Python's float ** raises
     with np.errstate(over="ignore", invalid="ignore"):
         main = problem.c * float(np.sum(eta[:-1] ** 2 * d[:-1] ** 2))
-        final = problem.c_prime * d[-1] ** 2 + problem.b**2
+        final = problem.c_prime * d[-1] ** 2 + np.float64(problem.b) ** 2
     # nan can only be 0 * inf from an overflowed distance; the bound is then inf
     if math.isnan(main):
         main = math.inf

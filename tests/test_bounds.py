@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klbounds import gauss, shifts
+from klbounds import bounds, gauss, shifts
 from klbounds.bounds import (
     BoundReport,
     KernelAssumptions,
@@ -17,7 +17,6 @@ from klbounds.bounds import (
     kl_simple_bound,
     last_step_substitution,
     n_bar,
-    renyi_simple_bound,
     toy_assumptions,
     w2_framework_bound,
 )
@@ -67,6 +66,10 @@ class TestKlSimple:
         k = KernelAssumptions(L=1.0, c=1.0, c_prime=1.0, b_bar=0.5)
         assert kl_simple_bound(k, 7, 0.0).value == pytest.approx(0.25)
 
+    def test_b_only_without_regularity(self):
+        k = KernelAssumptions(L=1.0, c=0.0, c_prime=0.0, b_bar=0.3)
+        assert kl_simple_bound(k, 5, 0.0).value == pytest.approx(0.09)
+
     def test_worked_contractive_case(self):
         k = KernelAssumptions(L=0.5, c=1.0, c_prime=2.0)
         assert kl_simple_bound(k, 2, 1.0).value == pytest.approx(0.36)
@@ -98,24 +101,6 @@ class TestKlSimple:
         val = kl_simple_bound(k, 4, 0.0).value
         assert val == pytest.approx(0.57196537904109979, rel=1e-12)
         assert val >= gauss.toy_exact_kl(4, 0.1, 1.0)
-
-
-class TestRenyiSimple:
-    def test_order_one_is_kl(self):
-        k = KernelAssumptions(L=0.9, c=1.0, c_prime=1.5, a=0.3, b_bar=0.2)
-        assert renyi_simple_bound(1.0, k, 6, 2.0).value == kl_simple_bound(k, 6, 2.0).value
-
-    def test_same_arithmetic_at_higher_order(self):
-        k = KernelAssumptions(L=0.5, c=1.0, c_prime=2.0)
-        assert renyi_simple_bound(4.0, k, 2, 1.0).value == pytest.approx(0.36)
-
-    def test_b_only(self):
-        k = KernelAssumptions(L=1.0, c=0.0, c_prime=0.0, b_bar=0.3)
-        assert renyi_simple_bound(2.0, k, 5, 0.0).value == pytest.approx(0.09)
-
-    def test_order_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            renyi_simple_bound(0.5, KernelAssumptions(L=1.0), 2, 1.0)
 
 
 class TestKlFramework:
@@ -243,6 +228,86 @@ class TestValidation:
         assert rep.schedule is None and rep.trace is None
 
 
+def closed_form_by_powers(k, n, w2_init):
+    """The closed-form KL bound written with Python `**`, which raises on overflow."""
+    nb = n_bar(k.L, n)
+    a0, a1 = k.e_strong, k.e_weak + k.gamma * k.e_strong
+    strong_factor = max((k.L - 1.0) * n, math.log(nb))
+    raw = (k.c + k.c_prime) * (
+        bounds._ratio_lm1(k.L, n) * w2_init**2 + strong_factor * a0**2 + nb * a1**2
+    )
+    return k.implied_constant * raw + k.b_bar**2
+
+
+def w2_by_powers(k, n, w2_init):
+    drift = k.e_weak + k.gamma * k.e_strong
+    if k.L <= 1.0:
+        nb = n_bar(k.L, n)
+        raw = k.L**n * w2_init**2 + nb**2 * drift**2 + nb * k.e_strong**2
+    else:
+        raw = k.L ** (3 * n) * (
+            w2_init**2 + drift**2 / (k.L - 1.0) ** 2 + k.e_strong**2 / (k.L - 1.0)
+        )
+    return k.implied_constant * raw
+
+
+class TestOverflowGivesInf:
+    @pytest.mark.parametrize("field", ["e_strong", "e_weak", "b_bar"])
+    def test_closed_form(self, field):
+        k = KernelAssumptions(L=1.0, c=1.0, c_prime=1.0, **{field: 1e200})
+        assert kl_framework_bound(k, 1000, 0.0, "closed_form").value == math.inf
+        k = KernelAssumptions(L=1.0, c=1.0, c_prime=1.0)
+        assert kl_framework_bound(k, 1000, 1e200, "closed_form").value == math.inf
+
+    def test_certified(self):
+        k = KernelAssumptions(L=1.0, c=1.0, c_prime=1.0, e_strong=0.1, b_bar=1e200)
+        assert kl_framework_bound(k, 50, 0.0, "certified").value == math.inf
+
+    @pytest.mark.parametrize("big_l", [0.9, 1.5, 1e300])
+    def test_w2(self, big_l):
+        k = KernelAssumptions(L=big_l, e_strong=1e200)
+        assert w2_framework_bound(k, 5, 0.0).value == math.inf
+        assert w2_framework_bound(KernelAssumptions(L=big_l), 5, 1e200).value == math.inf
+
+    def test_expansive_w2_with_inf_level_is_inf(self):
+        # inf / inf = nan in the bracket must not read as a zero bracket
+        k = KernelAssumptions(L=1e300, e_weak=math.inf)
+        assert w2_framework_bound(k, 3, 0.0).value == math.inf
+
+    def test_evaluate_schedule(self):
+        problem = shifts.ShiftProblem(5, 1.0, 1.0, shifts.SimpleError(0.1), b=1e200)
+        trace = shifts.evaluate_schedule(problem, shifts.three_phase_schedule(5, 1.0))
+        assert trace.final_term == math.inf and trace.total == math.inf
+
+    def test_finite_values_bit_identical_to_powers(self):
+        rng = np.random.default_rng(11)
+
+        def level(scale=1.0):  # spread over 250 decades, some squares overflow
+            return float(rng.uniform(0, scale)) * 10.0 ** int(rng.integers(-100, 150))
+
+        for _ in range(2000):
+            k = KernelAssumptions(
+                L=float(rng.choice([0.5, 0.9, 1.0, 1.3, 2.0, rng.uniform(0.3, 3.0)])),
+                gamma=float(rng.uniform(0, 2)),
+                c=float(rng.uniform(0, 3)),
+                c_prime=float(rng.uniform(0, 3)),
+                b_bar=level(), e_weak=level(), e_strong=level(),
+                implied_constant=float(rng.uniform(0.1, 5)),
+            )
+            n = int(rng.choice([1, 2, 7, 100, 1000]))
+            w = level(4.0)
+            for got, reference in (
+                (lambda: kl_framework_bound(k, n, w, "closed_form"), closed_form_by_powers),
+                (lambda: w2_framework_bound(k, n, w), w2_by_powers),
+            ):
+                try:
+                    want = reference(k, n, w)
+                except OverflowError:
+                    assert got().value == math.inf
+                    continue
+                assert got().value == want
+
+
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 STRUCTURAL = ("L", "gamma", "c", "c_prime", "implied_constant")
 LEVELS = ("b_bar", "e_weak", "e_strong", "a")
@@ -299,8 +364,6 @@ class TestNonFiniteAndExtremeInput:
         for mode, call in calls.items():
             try:
                 value = call().value
-            except OverflowError:  # an input constant whose square overflows
-                continue
             except ValueError:
                 assert out_of_domain.get(mode, False), mode
                 continue

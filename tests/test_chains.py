@@ -7,6 +7,8 @@ from decimal import Decimal, localcontext
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klbounds import chains, gauss
 from klbounds.chains import (
@@ -82,6 +84,73 @@ def rmlmc_strong_by_nodes(pot, x, h):
     return math.sqrt(total)
 
 
+def simulate_chain_by_loop(pot, config, init):
+    """Reference: simulate_chain with each scheme's update written inline."""
+    d, h, samples = pot.dimension, config.h, config.samples
+    if config.scheme == "ExactDiffusion":
+        lam, vecs = np.linalg.eigh(pot.quadratic.precision)
+        m = pot.quadratic.mode
+        trans = (vecs * np.exp(-h * lam)) @ vecs.T
+        noise_sd = (vecs * np.sqrt(-np.expm1(-2.0 * h * lam) / lam)) @ vecs.T
+    out = np.empty((samples, config.n_steps + 1, d))
+    x = chains._draw_init(init, samples, d, chains._stream(config.seed, 0))
+    out[:, 0, :] = x
+    for k in range(config.n_steps):
+        gen = chains._stream(config.seed, k + 1)
+        if config.scheme == "LMC":
+            noise = gen.standard_normal((samples, d))
+            x = x - h * pot.grad_batch(x) + math.sqrt(2.0 * h) * noise
+        elif config.scheme == "RMLMC":
+            u = gen.random(samples)
+            xi1 = gen.standard_normal((samples, d))
+            xi2 = gen.standard_normal((samples, d))
+            b_uh = np.sqrt(u * h)[:, None] * xi1
+            b_h = b_uh + np.sqrt((1.0 - u) * h)[:, None] * xi2
+            x_mid = x - (u * h)[:, None] * pot.grad_batch(x) + math.sqrt(2.0) * b_uh
+            x = x - h * pot.grad_batch(x_mid) + math.sqrt(2.0) * b_h
+        else:
+            xi = gen.standard_normal((samples, d))
+            x = m + (x - m) @ trans.T + xi @ noise_sd.T
+        out[:, k + 1, :] = x
+    return out
+
+
+def mc_local_errors_by_loop(pot, scheme, x, h, samples, seed, inner_steps):
+    """Reference: the coupled Monte Carlo (x_hat - X_h) with inline updates."""
+    d = pot.dimension
+    gen = chains._stream(seed, 0)
+    dt = h / inner_steps
+    db = math.sqrt(dt) * gen.standard_normal((inner_steps, samples, d))
+    xs = np.broadcast_to(x, (samples, d)).copy()
+    b_grid = np.concatenate([np.zeros((1, samples, d)), np.cumsum(db, axis=0)])
+    for k in range(inner_steps):
+        xs = xs - dt * pot.grad_batch(xs) + math.sqrt(2.0) * db[k]
+    x0 = np.broadcast_to(x, (samples, d))
+    if scheme == "LMC":
+        return x0 - h * pot.grad_batch(x0) + math.sqrt(2.0) * b_grid[-1] - xs
+    u = gen.random(samples)
+    zeta = gen.standard_normal((samples, d))
+    t = u * h
+    idx = np.minimum((t / dt).astype(int), inner_steps - 1)
+    t0 = idx * dt
+    lo, hi = b_grid[idx, np.arange(samples)], b_grid[idx + 1, np.arange(samples)]
+    bridge_sd = np.sqrt((dt - (t - t0)) * (t - t0) / dt)
+    b_uh = lo + ((t - t0) / dt)[:, None] * (hi - lo) + bridge_sd[:, None] * zeta
+    x_mid = x0 - (u * h)[:, None] * pot.grad_batch(x0) + math.sqrt(2.0) * b_uh
+    return x0 - h * pot.grad_batch(x_mid) + math.sqrt(2.0) * b_grid[-1] - xs
+
+
+def counting(gradient):
+    """The gradient plus a list that records one entry per call."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(np.shape(x))
+        return gradient(x)
+
+    return wrapped, calls
+
+
 class TestSteps:
     def test_lmc_drift_only(self):
         assert lmc_step(UNIT, 1.0, 0.1, 0.0)[0] == pytest.approx(0.9)
@@ -117,6 +186,54 @@ class TestSteps:
             rmlmc_step(UNIT, 1.0, 0.1, 1.5, 0.0, 0.0)
         with pytest.raises(ValueError, match="increments"):
             rmlmc_step(UNIT, np.zeros(2), 0.1, 0.5, np.zeros(3), np.zeros(2))
+
+    def test_rmlmc_nonfinite_first_gradient(self):
+        # grad V(x) is nan, grad V(x+) is finite: only the first check can fire
+        calls = []
+
+        def gradient(x):
+            calls.append(1)
+            return np.full(np.shape(x), np.nan if len(calls) == 1 else 1.0)
+
+        bad = PotentialSpec(1, gradient, 0.0, 1.0)
+        with pytest.raises(ValueError, match="non-finite gradient"):
+            rmlmc_step(bad, 1.0, 0.1, 0.5, 0.0, 0.0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("gradient", ["quadratic", "cubic"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_batch_step_equals_stacked_rows(self, gradient, d):
+        rng = np.random.default_rng(d)
+        if gradient == "quadratic":  # diagonal: batch and row products sum alike
+            pot = rotated_quadratic(rng, np.linspace(0.5, 2.0, d), rotate=False)
+        else:
+            pot = PotentialSpec(d, lambda x: np.asarray(x, float) ** 3 + x, 1.0, 4.0)
+        x = rng.standard_normal((6, d))
+        xi1, xi2 = rng.standard_normal((2, 6, d))
+        u = rng.random(6)
+        h = 0.1
+        lmc = lmc_step(pot, x, h, xi1)
+        assert np.array_equal(lmc, np.stack([lmc_step(pot, r, h, n) for r, n in zip(x, xi1)]))
+        b_uh, b_h = rmlmc_increments(u, h, xi1, xi2)
+        rows = [rmlmc_increments(ui, h, a, b) for ui, a, b in zip(u, xi1, xi2)]
+        assert np.array_equal(b_uh, np.stack([r[0] for r in rows]))
+        assert np.array_equal(b_h, np.stack([r[1] for r in rows]))
+        rm = rmlmc_step(pot, x, h, u, b_uh, b_h)
+        want = [rmlmc_step(pot, *args) for args in zip(x, [h] * 6, u, b_uh, b_h)]
+        assert np.array_equal(rm, np.stack(want))
+        # a scalar u applies to every row
+        rm = rmlmc_step(pot, x, h, 0.3, b_uh, b_h)
+        want = [rmlmc_step(pot, r, h, 0.3, a, b) for r, a, b in zip(x, b_uh, b_h)]
+        assert np.array_equal(rm, np.stack(want))
+
+    def test_batch_fraction_shape_checked(self):
+        x = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="u must"):
+            rmlmc_step(UNIT, x, 0.1, np.full(3, 0.5), x, x)
+        with pytest.raises(ValueError, match="u must"):
+            rmlmc_increments(np.full(4, 0.5), 0.1, np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            rmlmc_increments(np.array([0.5, np.nan, 0.2, 0.1]), 0.1, x, x)
 
     def test_rmlmc_increment_covariance(self):
         rng = np.random.default_rng(0)
@@ -281,6 +398,24 @@ class TestLocalErrors:
         slope = 1.0 - h * (1.0 - u * h)
         np.testing.assert_allclose(outs, slope * xs, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("scheme", ["LMC", "RMLMC"])
+    def test_mc_matches_inline_loops(self, scheme):
+        # the inner step scales the draw by sqrt(2 dt), not sqrt(2) sqrt(dt)
+        pot = PotentialSpec(2, lambda x: np.asarray(x, float) ** 3 + x, 1.0, 4.0)
+        x, h, samples = np.array([0.7, -0.2]), 0.05, 3000
+        diff = mc_local_errors_by_loop(pot, scheme, x, h, samples, 3, 64)
+        sq = np.sum(diff**2, axis=1)
+        est = estimate_local_errors(pot, scheme, x, h, samples=samples, seed=3)
+        assert est.weak == pytest.approx(np.linalg.norm(diff.mean(axis=0)), rel=1e-12)
+        assert est.strong == pytest.approx(math.sqrt(sq.mean()), rel=1e-13)
+
+    def test_scheme_checked_before_monte_carlo(self):
+        gradient, calls = counting(lambda x: np.asarray(x, float) ** 3)
+        quartic = PotentialSpec(1, gradient, 0.0, 4.0)
+        with pytest.raises(ValueError, match="scheme must be LMC or RMLMC"):
+            estimate_local_errors(quartic, "ExactDiffusion", 1.0, 0.1)
+        assert calls == []
+
     def test_inner_grid_floor(self):
         black_box = PotentialSpec(1, lambda x: np.asarray(x, float), 1.0, 1.0)
         with pytest.raises(ValueError, match="inner_steps"):
@@ -320,9 +455,27 @@ class TestSimulateChain:
         assert res.empirical_cov()[0, 0] == pytest.approx(1.0, abs=0.03)
 
     def test_divergence_reports_step(self):
-        cfg = SamplerConfig("LMC", 11.0, 400, seed=0, samples=4)
-        with pytest.raises(ValueError, match="step"):
-            simulate_chain(UNIT, cfg, np.array([1.0]))
+        # an overflowed iterate and an overflowed gradient both end the chain
+        # at the step where they happen
+        want = {(1.0, "LMC"): 308, (1.0, "RMLMC"): 199, (3.0, "LMC"): 205,
+                (3.0, "RMLMC"): 120, (1e300, "LMC"): 2, (1e300, "RMLMC"): 1}
+        for (precision, scheme), step in want.items():
+            pot = PotentialSpec.quadratic_potential(precision)
+            cfg = SamplerConfig(scheme, 11.0, 400, seed=0, samples=4)
+            with pytest.raises(ValueError, match=f"^chain diverged at step {step}$"):
+                simulate_chain(pot, cfg, np.array([1.0]))
+
+    @pytest.mark.parametrize("scheme", ["LMC", "RMLMC", "ExactDiffusion"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_iterates_match_inline_loops(self, scheme, d):
+        rng = np.random.default_rng(10 + d)
+        pot = rotated_quadratic(rng, np.linspace(0.5, 2.0, d))
+        starts = [pot.quadratic.mode + 1.0, random_gaussian(rng, d)]
+        for seed in range(4):
+            for init in starts:
+                cfg = SamplerConfig(scheme, 0.1, 12, seed=seed, samples=9)
+                got = simulate_chain(pot, cfg, init).iterates
+                assert np.array_equal(got, simulate_chain_by_loop(pot, cfg, init))
 
     def test_csv_dump(self, tmp_path):
         cfg = SamplerConfig("LMC", 0.1, 2, seed=0, samples=3)
@@ -525,3 +678,54 @@ class TestSmallStepAccuracy:
         z = np.array([math.nextafter(1.0, 0.0), 1.0])
         below, above = chains._rmlmc_variance_sum(z)
         assert above == pytest.approx(below, rel=1e-15)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# finite but extreme: subnormal, tiny, huge, the largest float
+EXTREME = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e-160, 1.0, 1e160, 1e300, 1.7976931348623157e308]),
+    st.floats(5e-324, 1e308),
+)
+
+
+class TestNonFiniteAndExtremeInput:
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.one_of(NON_FINITE, st.sampled_from([0.0, -0.0, -5e-324]), st.floats(max_value=0.0)))
+    def test_invalid_step_rejected_everywhere(self, h):
+        init = gauss.Gaussian(1.0, 0.5)
+        for call in (
+            lambda: SamplerConfig("LMC", h, 3),
+            lambda: estimate_local_errors(UNIT, "RMLMC", 1.0, h),
+            lambda: propagate_law(UNIT, init, "LMC", h, 0),
+            lambda: propagate_law(UNIT, init, "ExactDiffusion", h, 3),
+            lambda: exact_diffusion_kernel(UNIT, 1.0, h),
+        ):
+            with pytest.raises(ValueError, match="h must be finite and > 0"):
+                call()
+
+    def test_invalid_step_rejected_before_monte_carlo(self):
+        gradient, calls = counting(lambda x: np.asarray(x, float) ** 3)
+        with pytest.raises(ValueError, match="h must be finite and > 0"):
+            estimate_local_errors(PotentialSpec(1, gradient, 0.0, 4.0), "LMC", 1.0, math.nan)
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=EXTREME, scheme=st.sampled_from(["LMC", "RMLMC", "ExactDiffusion"]))
+    def test_extreme_finite_step_accepted(self, h, scheme):
+        assert SamplerConfig(scheme, h, 3).h == h
+        law = exact_diffusion_kernel(UNIT, 1.0, h)
+        assert np.all(np.isfinite(law.cov)) and 0.0 < law.cov[0, 0] <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(["alpha", "beta", "zeta0", "zeta1"]))
+    def test_potential_rejects_nan_curvature(self, field):
+        kwargs = {"alpha": 0.5, "beta": 2.0, "zeta0": 0.0, "zeta1": 0.0, field: math.nan}
+        with pytest.raises(ValueError):
+            PotentialSpec(1, lambda x: x, **kwargs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=EXTREME, spread=EXTREME, zeta=EXTREME)
+    def test_potential_accepts_extreme_finite_curvature(self, alpha, spread, zeta):
+        beta = alpha + spread
+        pot = PotentialSpec(1, lambda x: x, -alpha, beta, zeta, zeta)
+        assert (pot.alpha, pot.beta, pot.zeta0) == (-alpha, beta, zeta)

@@ -58,6 +58,19 @@ class TestBoundCommand:
         assert [r[1] for r in rows] == ["simple", "closed_form", "certified"]
         assert all(np.isfinite(float(r[2])) for r in rows)
 
+    def test_overflowing_constant_gives_inf(self, tmp_path, capsys):
+        code, out = run(
+            ["bound", "--set", "n=1000", "--set", "L=1", "--set", "c=1",
+             "--set", "c_prime=1", "--set", "e_strong=1e200"],
+            tmp_path,
+        )
+        assert code == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:-1]]
+        # the simple bound reads the bias level `a`, left at 0
+        assert [(r[1], r[2]) for r in rows] == [
+            ("simple", "0"), ("closed_form", "inf"), ("certified", "inf")
+        ]
+
     @pytest.mark.parametrize("bad", ["L=nan", "c=inf", "e_strong=nan"])
     def test_non_finite_constant_is_a_usage_error(self, tmp_path, capsys, bad):
         # a later --set overrides an earlier one
@@ -155,6 +168,14 @@ class TestSampleAndLocalErrors:
         rows = out.read_text().splitlines()
         assert rows[0].startswith("h,weak,strong")
         assert len(rows) == 1 + 4 + 1
+
+    @pytest.mark.parametrize("command", ["sample", "local-errors"])
+    @pytest.mark.parametrize("h", ["nan", "inf", "0", "-0.1"])
+    def test_invalid_step_is_a_usage_error(self, tmp_path, capsys, command, h):
+        code, out = run([command, "--set", f"h={h}", "--set", "n=3", "--set", "x=1"], tmp_path)
+        assert code == 2
+        assert "h must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyCommand:

@@ -19,7 +19,6 @@ from klbounds.schemes import (
     recursive_gradient_control,
     rmlmc_cross_reg,
     rmlmc_local_errors,
-    scheme_coefficients,
 )
 from klbounds.verify import fit_loglog_slope
 
@@ -192,19 +191,29 @@ class TestGradientBounds:
 
 class TestSchemeCoefficients:
     def test_weak_le_strong_pointwise(self):
-        for scheme in PLAN_SCHEMES:
-            co = scheme_coefficients(scheme, 1.0, 1.0, 0.05)
+        # (weak, strong) levels of the three planner schemes at beta = 1, d = 4
+        levels = {
+            "LMC": lambda h, g: lmc_local_errors(1.0, 4, h, g),
+            "LMC_SMOOTH": lambda h, g: (
+                lmc_smooth_weak_error(1.0, 0.0, 0.0, 4, h, g), lmc_local_errors(1.0, 4, h, g)[1]
+            ),
+            "RMLMC": lambda h, g: rmlmc_local_errors(1.0, 4, h, g),
+        }
+        assert set(levels) == set(PLAN_SCHEMES)
+        for weak_strong in levels.values():
             for h in (0.05, 0.02):
                 for g in (0.0, 1.0, 5.0):
-                    assert co.e_weak_fn(h, g, 4) <= co.e_strong_fn(h, g, 4) + 1e-15
-        lmc = scheme_coefficients("LMC", 1.0, 1.0, 0.05)
-        assert lmc.e_weak_fn(0.05, 2.0, 4) == lmc.e_strong_fn(0.05, 2.0, 4)
+                    weak, strong = weak_strong(h, g)
+                    assert weak <= strong + 1e-15
+        weak, strong = lmc_local_errors(1.0, 4, 0.05, 2.0)
+        assert weak == strong
 
     def test_diffusion_side_values(self):
-        co = scheme_coefficients("RMLMC", 1.0, 1.0, 0.1)
-        want_l, want_g, want_c = langevin_kernel_params(1.0, 1.0, 0.1)
-        assert (co.L, co.gamma, co.c) == (want_l, want_g, want_c)
-        assert co.c_prime_fn(0.1) == pytest.approx(rmlmc_cross_reg(1.0, 1, 0.1, 0.0)[0])
+        big_l, gamma, c = langevin_kernel_params(1.0, 1.0, 0.1)
+        assert big_l == math.exp(-0.1)
+        assert gamma == -math.expm1(-0.1)
+        assert c == 1.0 / (2.0 * math.expm1(0.2))
+        assert rmlmc_cross_reg(1.0, 1, 0.1, 0.0)[0] == pytest.approx(math.log(10.0) / 0.1)
 
 
 class TestPlanner:
