@@ -15,6 +15,7 @@ with a fine inner Euler grid for the diffusion endpoint.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -386,7 +387,26 @@ def _rmlmc_variance_sum(z: np.ndarray) -> np.ndarray:
     small = z < 1.0
     out[small] = np.polynomial.polynomial.polyval(z[small], _RMLMC_SERIES)
     zl = z[~small]
-    out[~small] = zl**3 / 2.0 - zl**2 + zl - 2.0 * zl * np.exp(-zl) - np.expm1(-2.0 * zl) / 2.0
+    # Horner and z (e^{-z}) keep an overflow at inf, never inf - inf or inf * 0
+    out[~small] = (zl * ((zl / 2.0 - 1.0) * zl + 1.0) - 2.0 * (zl * np.exp(-zl))
+                   - np.expm1(-2.0 * zl) / 2.0)
+    return out
+
+
+def _exp_remainder(z: np.ndarray, k: int) -> np.ndarray:
+    """e^{-z} - sum_{j<=k} (-z)^j / j! for z >= 0.
+
+    Below z = 1, where the subtraction cancels to O(z^{k+1}), the Taylor
+    series sum_{j>k} (-z)^j / j! up to j = k + 20 (truncation error below
+    1e-18 relative); from z = 1 up the subtraction, which there loses less
+    than 1e-15 relative.
+    """
+    coefs = [(-1.0) ** j / math.factorial(j) for j in range(k + 21)]
+    out = np.empty_like(z)
+    small = z < 1.0
+    out[small] = np.polynomial.polynomial.polyval(z[small], [0.0] * (k + 1) + coefs[k + 1 :])
+    zl = z[~small]
+    out[~small] = np.exp(-zl) - np.polynomial.polynomial.polyval(zl, coefs[: k + 1])
     return out
 
 
@@ -404,20 +424,23 @@ def _exact_local_errors(pot: PotentialSpec, scheme: str, x: np.ndarray, h: float
     """
     lam, vecs, m = _quadratic_eig(pot)
     xi = vecs.T @ (x - m)
-    z = lam * h
     live = lam > 1e-12
+    lam = lam[live]
+    # an overflowed lam h stands for a finite z: the largest float keeps the
+    # errors at inf where inf would give inf * 0 = nan
+    z = np.minimum(lam * h, sys.float_info.max)
+    # a direction with no start offset has no mean gap, whatever its z
+    moved = xi[live] != 0.0
+    xi = xi[live][moved]
     if scheme == "LMC":
-        coef = np.where(live, np.exp(-z) - (1.0 - z), 0.0)
-        weak = float(np.linalg.norm(coef * xi))
-        var = np.where(live, _lmc_coupled_variance(lam, h), 0.0)
-        strong = math.sqrt(weak * weak + float(np.sum(var)))
+        weak = float(np.linalg.norm(_exp_remainder(z[moved], 1) * xi))
+        strong = math.sqrt(weak * weak + float(np.sum(_lmc_coupled_variance(lam, h))))
         return weak, strong
-    coef = np.where(live, np.exp(-z) - (1.0 - z + 0.5 * z * z), 0.0)
-    weak = float(np.linalg.norm(coef * xi))
-    a_coef = np.where(live, (1.0 - z) - np.exp(-z), 0.0)
-    b_coef = np.where(live, z * z, 0.0)
-    mean_sq = float(np.sum((a_coef**2 + a_coef * b_coef + b_coef**2 / 3.0) * xi**2))
-    var = 2.0 * _rmlmc_variance_sum(z[live]) / lam[live]
+    # the u-average of (1 - z - e^{-z} + u z^2)^2 is (e^{-z} - 1 + z - z^2/2)^2 + z^4/12
+    gap = _exp_remainder(z[moved], 2) * xi
+    weak = float(np.linalg.norm(gap))
+    mean_sq = float(np.sum(gap**2 + (z[moved] ** 2 * xi) ** 2 / 12.0))
+    var = 2.0 * _rmlmc_variance_sum(z) / lam
     strong = math.sqrt(mean_sq + float(np.sum(var)))
     return weak, strong
 

@@ -204,26 +204,29 @@ def _sqrt1p_minus_one(x: float) -> float:
     return x / (1.0 + math.sqrt(1.0 + x))
 
 
+def _check_toy(n: int, w: float, sigma: float) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not math.isfinite(w):
+        raise ValueError(f"w must be finite, got {w!r}")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+
+
 def toy_exact_kl(n: int, w: float, sigma: float) -> float:
     """Exact KL(mu Phat^n || mu P^n) for the toy kernel pair and Dirac mu.
 
     Equals (n w^2 + sigma^2 - log(1 + sigma^2)) / 2; log1p keeps the
     sigma -> 0 limit accurate.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if sigma < 0.0:
-        raise ValueError("sigma must be positive")
+    _check_toy(n, w, sigma)
     s2 = sigma * sigma
     return 0.5 * (n * w * w + s2 - math.log1p(s2))
 
 
 def toy_exact_w2(n: int, w: float, sigma: float) -> float:
     """Exact W2(mu Phat^n, mu P^n) for Dirac mu: sqrt(n^2 w^2 + n (sqrt(1+sigma^2)-1)^2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if sigma < 0.0:
-        raise ValueError("sigma must be positive")
+    _check_toy(n, w, sigma)
     gap = _sqrt1p_minus_one(sigma * sigma)
     return math.sqrt(n * n * w * w + n * gap * gap)
 

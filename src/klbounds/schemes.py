@@ -34,6 +34,12 @@ SETTINGS = ("SLC", "WLC", "LSI")
 PLAN_SCHEMES = ("LMC", "LMC_SMOOTH", "RMLMC")
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def langevin_kernel_params(alpha: float, beta: float, h: float) -> tuple[float, float, float]:
     """Exact (L, gamma, c) of the Langevin diffusion run for time h.
 
@@ -41,6 +47,7 @@ def langevin_kernel_params(alpha: float, beta: float, h: float) -> tuple[float, 
     at alpha = 0); c = alpha / (2 (e^{2 alpha h} - 1)) (limit 1/(4h)).
     Valid for alpha of either sign with alpha <= beta.
     """
+    _require_finite(alpha=alpha, beta=beta, h=h)
     if h <= 0.0:
         raise ValueError("h must be > 0")
     if alpha > beta:
@@ -56,6 +63,7 @@ def langevin_kernel_params(alpha: float, beta: float, h: float) -> tuple[float, 
 
 
 def _require_step(h: float, beta: float, strict: bool = False):
+    _require_finite(h=h, beta=beta)
     if h <= 0.0:
         raise ValueError("h must be > 0")
     if beta < 0.0:

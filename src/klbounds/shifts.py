@@ -14,8 +14,9 @@ and the objective charged to a schedule is
 This module provides exact evaluation of that objective, closed-form
 optimal values/schedules for the Simple recursion (contraction factor
 L = 1 and L in (0,1)), the feasible three-phase schedule used for the
-WeakAware recursion on 1/2 <= L <= 2, and an independent dynamic-programming
-oracle for desk-scale verification.
+WeakAware recursion on 1/2 <= L <= 2, and an independent oracle for
+desk-scale verification: grid value iteration, then one L-BFGS-B solve in
+r = (1 - eta) d.
 
 Index convention: all closed forms are stated for N shifts with
 eta_{N-1} = 1 (the final interpolating shift), i.e. N-1 free shifts.
@@ -402,177 +403,105 @@ def three_phase_schedule(n: int, L: float) -> ShiftSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Dynamic-programming oracle
+# Shift oracle
 # ---------------------------------------------------------------------------
 
 
-def _objective(problem: ShiftProblem, eta) -> float:
-    d = propagate_distances(problem, eta)
-    main = problem.c * sum(eta[k] ** 2 * d[k] ** 2 for k in range(problem.n - 1))
-    return main + problem.c_prime * d[-1] ** 2
+# Shift and distance grid sizes of the value iteration, and the stopping rule
+# of the L-BFGS-B solve on the normalised objective.
+_GRID_ETA = 128
+_GRID_DIST = 256
+_FTOL = 1e-15
+_GTOL = 1e-12
+_MAXITER = 1000
 
 
-def _polish_simple(problem: ShiftProblem, eta: np.ndarray, sweeps: int = 200) -> np.ndarray:
-    """Cyclic exact coordinate minimization for the Simple recursion.
+def dp_oracle(problem: ShiftProblem) -> tuple[ShiftSchedule, float]:
+    """Independent verification oracle: grid value iteration, then one
+    L-BFGS-B solve in r = (1 - eta) d.
 
-    Downstream distances are affine in any single eta_k, so the objective
-    restricted to one coordinate is a convex quadratic with coefficients
-    computable in O(n); each coordinate update is exact calculus.
-    """
-    eta = [float(v) for v in eta]
-    n, L, a = problem.n, problem.L, problem.error.a
-    c, cp = problem.c, problem.c_prime
-    best = _objective(problem, eta)
-    for _ in range(sweeps):
-        prev = best
-        d = list(propagate_distances(problem, eta))
-        for k in range(n - 2, -1, -1):
-            dk = d[k]
-            # d_j = p_j + q_j * eta_k for j > k
-            p = L * dk + a
-            q = -L * dk
-            quad = c * dk * dk
-            lin = 0.0
-            for j in range(k + 1, n - 1):
-                w = c * eta[j] ** 2
-                quad += w * q * q
-                lin += 2.0 * w * p * q
-                p, q = L * (1.0 - eta[j]) * p + a, L * (1.0 - eta[j]) * q
-            quad += cp * q * q
-            lin += 2.0 * cp * p * q
-            if quad > 0.0:
-                eta[k] = min(1.0, max(0.0, -lin / (2.0 * quad)))
-            d[k + 1] = L * (1.0 - eta[k]) * d[k] + a
-            for j in range(k + 1, n - 1):
-                d[j + 1] = L * (1.0 - eta[j]) * d[j] + a
-        best = _objective(problem, eta)
-        if prev - best <= 1e-15 * max(1.0, abs(prev)):
-            break
-    return np.asarray(eta)
-
-
-def _polish_weak_aware(problem: ShiftProblem, eta: np.ndarray, sweeps: int = 40) -> np.ndarray:
-    """Cyclic bounded scalar minimization for the WeakAware recursion."""
-    from scipy.optimize import minimize_scalar
-
-    eta = eta.copy()
-    n = problem.n
-    best = _objective(problem, eta)
-    for _ in range(sweeps):
-        prev = best
-        for k in range(n - 2, -1, -1):
-            def obj(x, idx=k):
-                e = eta.copy()
-                e[idx] = x
-                return _objective(problem, e)
-
-            res = minimize_scalar(obj, bounds=(0.0, 1.0), method="bounded",
-                                  options={"xatol": 1e-12})
-            if res.fun < obj(eta[k]):
-                eta[k] = float(res.x)
-        best = _objective(problem, eta)
-        if prev - best <= 1e-14 * max(1.0, abs(prev)):
-            break
-    return eta
-
-
-def _coordinate_polish(problem: ShiftProblem, eta: np.ndarray) -> np.ndarray:
-    if isinstance(problem.error, SimpleError):
-        return _polish_simple(problem, eta)
-    return _polish_weak_aware(problem, eta)
-
-
-def dp_oracle(
-    problem: ShiftProblem,
-    n_eta: int = 128,
-    n_dist: int = 256,
-    polish: bool = True,
-) -> tuple[ShiftSchedule, float]:
-    """Independent verification oracle: grid value iteration plus polishing.
-
-    Backward induction over a discretized shift per step, with the value
+    Backward induction over a grid of shifts per step, with the value
     function held on a logarithmic distance grid (linear interpolation),
-    followed by cyclic per-coordinate refinement of the extracted schedule.
-    The returned value is the exact objective of a feasible schedule, hence
-    an upper bound on the true optimum; on Simple instances it matches the
-    closed forms to well below 1e-6 relative.
+    gives a greedy start schedule.  In the kept distances r_k = (1 - eta_k) d_k
+    the next distance depends on r_k alone, so the objective
+    c sum_k (d_k - r_k)_+^2 + c' d_{N-1}^2 is a chain over the box r >= 0,
+    convex for Simple errors and for WeakAware errors with a1 <= L a0.  One
+    bounded L-BFGS-B solve with an adjoint gradient refines the start: to
+    the optimum where the objective is convex, to the start's local minimum
+    otherwise.  The returned value is the exact objective of the feasible
+    schedule read off the solved trajectory, hence an upper bound on the
+    true optimum; on Simple instances it matches the closed forms to 1e-14
+    relative (the worst over the 1000 instances of `verify shifts`).
     """
     if problem.n > 30:
         raise ValueError("oracle-scale error: dp_oracle is limited to n <= 30")
-    if n_eta < 100:
-        raise ValueError("grid resolution must be >= 100 points per shift")
-    from scipy.optimize import minimize_scalar
-
-    n, L = problem.n, problem.L
+    n, L, c, cp = problem.n, problem.L, problem.c, problem.c_prime
     if isinstance(problem.error, SimpleError):
-        a_worst = problem.error.a
+        a = a_worst = problem.error.a
+
+        def step(r):  # next distance and its slope in the kept distance r
+            return L * r + a, L
     else:
-        a_worst = problem.error.a0 + problem.error.a1
+        a0, a1 = problem.error.a0, problem.error.a1
+        a_worst = a0 + a1
+
+        def step(r):
+            nxt = np.sqrt((L * r) ** 2 + 2.0 * a1 * r + a0 * a0)
+            return nxt, np.divide(L * L * r + a1, nxt, out=np.zeros_like(nxt), where=nxt > 0.0)
 
     # Distance grid covering the zero-shift (worst-case) trajectory.
-    d_max = problem.d0
-    reach = problem.d0
+    d_max = reach = problem.d0
     for _ in range(n - 1):
         reach = L * reach + a_worst
         d_max = max(d_max, reach)
     d_max = max(d_max * 1.05, 1e-9)
     grid = np.concatenate(
-        [[0.0], np.geomspace(max(d_max * 1e-6, 1e-12), d_max, n_dist - 1)]
+        [[0.0], np.geomspace(max(d_max * 1e-6, 1e-12), d_max, _GRID_DIST - 1)]
     )
-    etas = np.linspace(0.0, 1.0, n_eta)
+    etas = np.linspace(0.0, 1.0, _GRID_ETA)
 
-    def step_all(d_vals: np.ndarray, eta_vals: np.ndarray) -> np.ndarray:
-        rest = 1.0 - eta_vals[None, :]
-        if isinstance(problem.error, SimpleError):
-            return L * rest * d_vals[:, None] + problem.error.a
-        a0, a1 = problem.error.a0, problem.error.a1
-        sq = (L * rest * d_vals[:, None]) ** 2 + 2.0 * a1 * rest * d_vals[:, None] + a0 * a0
-        return np.sqrt(sq)
+    def to_go(d_vals: np.ndarray, tail: np.ndarray) -> np.ndarray:
+        """Stage cost plus interpolated value-to-go, distances x shifts."""
+        nxt = step((1.0 - etas[None, :]) * d_vals[:, None])[0]
+        cont = np.interp(np.clip(nxt, grid[0], grid[-1]), grid, tail)
+        return c * etas[None, :] ** 2 * d_vals[:, None] ** 2 + cont
 
     # Backward value iteration: tails[k] holds the value-to-go from step k
     # on the distance grid, with tails[n-1](d) = c' d^2 (b^2 added at the end).
-    tails = [problem.c_prime * grid**2]
+    tails = [cp * grid**2]
     for _ in range(n - 1):
-        nxt = np.clip(step_all(grid, etas), grid[0], grid[-1])
-        cont = np.interp(nxt, grid, tails[-1])
-        stage = problem.c * etas[None, :] ** 2 * grid[:, None] ** 2
-        tails.append(np.min(stage + cont, axis=1))
+        tails.append(np.min(to_go(grid, tails[-1]), axis=1))
     tails.reverse()
 
-    # Forward greedy extraction with scalar refinement per step.
-    eta = np.ones(n)
+    # Greedy start: the best grid shift at each step along the trajectory.
+    r = np.empty(n - 1)
     d = problem.d0
-
-    def cont_of(eta_x, d_cur: float, tail: np.ndarray):
-        nx = np.clip(step_all(np.array([d_cur]), np.atleast_1d(eta_x))[0], grid[0], grid[-1])
-        return problem.c * np.atleast_1d(eta_x) ** 2 * d_cur**2 + np.interp(nx, grid, tail)
-
     for k in range(n - 1):
-        tail = tails[k + 1]
-        coarse = cont_of(etas, d, tail)
-        x0 = etas[int(np.argmin(coarse))]
-        res = minimize_scalar(
-            lambda x: float(cont_of(x, d, tail)[0]),
-            bounds=(max(0.0, x0 - 2.0 / n_eta), min(1.0, x0 + 2.0 / n_eta)),
-            method="bounded",
-            options={"xatol": 1e-10},
+        r[k] = (1.0 - etas[int(np.argmin(to_go(np.array([d]), tails[k + 1])))]) * d
+        d = float(step(r[k : k + 1])[0][0])
+
+    def objective(r: np.ndarray):
+        nxt, slope = step(r)
+        dist = np.concatenate([[problem.d0], nxt])
+        gap = np.maximum(dist[:-1] - r, 0.0)
+        value = c * gap @ gap + cp * nxt[-1] ** 2
+        # adjoint: d_{k+1} feeds the stage-(k+1) gap, or the final term
+        weight = np.append(c * gap[1:], cp * nxt[-1])
+        return value, 2.0 * (weight * slope - c * gap)
+
+    if n > 1:
+        from scipy.optimize import minimize
+
+        scale = objective(r)[0]
+        scale = scale if scale > 0.0 else 1.0
+        res = minimize(
+            lambda x: tuple(v / scale for v in objective(x)), r, jac=True,
+            method="L-BFGS-B", bounds=[(0.0, None)] * (n - 1),
+            options={"ftol": _FTOL, "gtol": _GTOL, "maxiter": _MAXITER},
         )
-        eta[k] = float(res.x)
-        d = step_all(np.array([d]), np.array([eta[k]]))[0, 0]
-
-    if polish:
-        candidates = [eta]
-        uniform = np.ones(n)
-        uniform[: n - 1] = [1.0 / (n - j) for j in range(n - 1)]
-        candidates.append(uniform)
-        candidates.append(np.concatenate([np.full(n - 1, 0.5), [1.0]]))
-        best_eta, best_val = None, math.inf
-        for cand in candidates:
-            polished = _coordinate_polish(problem, cand)
-            val = evaluate_schedule(problem, ShiftSchedule(polished)).total
-            if val < best_val:
-                best_eta, best_val = polished, val
-        eta = best_eta
-
-    schedule = ShiftSchedule(eta)
+        r = res.x
+    dist = np.concatenate([[problem.d0], step(r)[0]])[:-1]
+    eta = np.ones(n)
+    eta[:-1] = 1.0 - np.divide(r, dist, out=np.zeros_like(r), where=dist > 0.0)
+    schedule = ShiftSchedule(np.clip(eta, 0.0, 1.0))
     return schedule, evaluate_schedule(problem, schedule).total

@@ -156,7 +156,7 @@ def exact_quadratic_assumptions(lam: float, h: float, n: int, x0: float) -> boun
     z = lam * h
     g_last = float(chains._lmc_geometric_sum(z, n - 1))
     s2_max = max(x0 * x0, x0 * x0 + g_last * (2.0 * h - z * (2.0 - z) * x0 * x0))
-    coef_weak = abs(math.exp(-z) - (1.0 - z))
+    coef_weak = abs(float(chains._exp_remainder(np.array([z]), 1)[0]))
     coupled_var = float(chains._lmc_coupled_variance(np.array([lam]), h)[0])
     e_weak = coef_weak * math.sqrt(s2_max)
     e_strong = math.sqrt(coef_weak**2 * s2_max + coupled_var)

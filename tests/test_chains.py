@@ -2,6 +2,7 @@
 coupled Monte Carlo against the exact Gaussian path."""
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import mpmath
@@ -30,6 +31,7 @@ from klbounds.chains import (
     toy_kernel_pair,
 )
 from klbounds.shifts import optimal_shifts_L1
+from klbounds.verify import exact_quadratic_assumptions
 
 UNIT = PotentialSpec.quadratic_potential(1.0)
 
@@ -646,7 +648,39 @@ def rmlmc_strong_mp(lam, h):
         return float(mpmath.sqrt(mpmath.quad(var, [0, 1])))
 
 
+def exp_remainder_mp(z, k):
+    """e^{-z} - sum_{j<=k} (-z)^j / j! to 50 digits."""
+    with mpmath.workdps(50):
+        z = mpmath.mpf(z)
+        return mpmath.exp(-z) - sum((-z) ** j / mpmath.factorial(j) for j in range(k + 1))
+
+
 class TestSmallStepAccuracy:
+    @pytest.mark.parametrize("h", [1e-3, 1e-4, 1e-6, 1e-8])
+    def test_weak_errors_against_mpmath(self, h):
+        # the weak error is |e^{-z} - (1 - z)| |xi| (LMC) and |e^{-z} - (1 - z + z^2/2)| |xi|
+        # (RMLMC); subtracting in floats returned 0 for RMLMC at h = 1e-6
+        for lam, x in ((1.0, 1.0), (3.0, -2.0)):
+            pot = PotentialSpec.quadratic_potential(lam)
+            for scheme, k in (("LMC", 1), ("RMLMC", 2)):
+                want = abs(float(exp_remainder_mp(lam * h, k))) * abs(x)
+                got = estimate_local_errors(pot, scheme, x, h).weak
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        want = abs(float(exp_remainder_mp(h, 1)))  # n = 1: the largest moment is x0^2 = 1
+        assert exact_quadratic_assumptions(1.0, h, 1, 1.0).e_weak == pytest.approx(
+            want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-6, 0.5, 2.0])
+    def test_rmlmc_strong_off_mode_against_mpmath(self, h):
+        # off the mode the u-averaged squared mean gap (e^{-z} - 1 + z - z^2/2)^2 + z^4/12
+        # adds to the variance at the mode
+        with mpmath.workdps(50):
+            z = mpmath.mpf(h)
+            mean_sq = exp_remainder_mp(h, 2) ** 2 + z**4 / 12
+            want = float(mpmath.sqrt(mpmath.mpf(rmlmc_strong_mp(1.0, h)) ** 2 + mean_sq))
+        got = estimate_local_errors(UNIT, "RMLMC", 1.0, h).strong
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("z", [1e-6, 1e-9])
     def test_ou_variance_against_mpmath(self, z):
         for lam in (1.0, 3.0):
@@ -715,6 +749,20 @@ class TestNonFiniteAndExtremeInput:
         assert SamplerConfig(scheme, h, 3).h == h
         law = exact_diffusion_kernel(UNIT, 1.0, h)
         assert np.all(np.isfinite(law.cov)) and 0.0 < law.cov[0, 0] <= 1.0
+
+    @pytest.mark.parametrize("h", [1e150, 1e300, sys.float_info.max])
+    def test_huge_step_errors_are_never_nan(self, h):
+        # z = lam h from about 5.6e102 on made the RMLMC strong error inf - inf = nan;
+        # lam = 4 overflows z itself at the largest h
+        for lam, x in ((1.0, 1.0), (1.0, 0.0), (4.0, -3.0)):
+            pot = PotentialSpec.quadratic_potential(lam)
+            for scheme in ("LMC", "RMLMC"):
+                est = estimate_local_errors(pot, scheme, x, h)
+                assert not math.isnan(est.weak) and not math.isnan(est.strong)
+                assert est.weak <= est.strong
+                if x == 0.0:
+                    assert est.weak == 0.0
+            assert estimate_local_errors(pot, "RMLMC", x, h).strong == math.inf
 
     @settings(max_examples=60, deadline=None)
     @given(field=st.sampled_from(["alpha", "beta", "zeta0", "zeta1"]))

@@ -225,6 +225,18 @@ class TestToyFormulas:
             toy_exact_w2(2, 0.1, -1.0)
 
 
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(bad=NON_FINITE, field=st.sampled_from(["w", "sigma"]),
+       toy=st.sampled_from([toy_exact_kl, toy_exact_w2]))
+def test_toy_formulas_reject_non_finite(bad, field, toy):
+    args = {"n": 4, "w": 0.1, "sigma": 1.0, field: bad}
+    with pytest.raises(ValueError, match=field):
+        toy(**args)
+
+
 class TestGaussianValidation:
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):

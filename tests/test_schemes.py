@@ -4,6 +4,8 @@ exponent checks, rate-table scaling."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klbounds import chains, gauss
 from klbounds.schemes import (
@@ -275,3 +277,25 @@ class TestPlanner:
         wlc = plan_iterations("WLC", "LMC_SMOOTH", p)
         want = (1.0 * (1.0 * 2.0 + 4.0)) * 8.0 / 0.5**4
         assert wlc.n_powerlaw == pytest.approx(want)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(bad=NON_FINITE, field=st.sampled_from(["alpha", "beta", "h"]))
+def test_kernel_params_reject_non_finite(bad, field):
+    args = {"alpha": 1.0, "beta": 2.0, "h": 0.1, field: bad}
+    with pytest.raises(ValueError, match=field):
+        langevin_kernel_params(**args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bad=NON_FINITE, field=st.sampled_from(["beta", "h"]), formula=st.sampled_from([
+    lmc_local_errors, lmc_cross_reg, rmlmc_local_errors, rmlmc_cross_reg,
+    lambda **kw: lmc_smooth_weak_error(zeta0=0.5, zeta1=0.5, **kw),
+]))
+def test_step_formulas_reject_non_finite(bad, field, formula):
+    args = {"beta": 1.0, "d": 2, "h": 0.1, "grad_norm": 1.0, field: bad}
+    with pytest.raises(ValueError, match=field):
+        formula(**args)
