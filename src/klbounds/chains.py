@@ -269,13 +269,17 @@ def _ou(lam: np.ndarray, t: float):
 
 
 def exact_diffusion_kernel(pot: PotentialSpec, x, h: float) -> Gaussian:
-    """Exact OU transition law N(m + e^{-hP}(x-m), P^{-1}(I - e^{-2hP}))."""
+    """Exact OU transition law N(m + e^{-hP}(x-m), P^{-1}(I - e^{-2hP})).
+
+    The law is built in the precision's eigenbasis, where its covariance is
+    diagonal, so it costs no ``eigh``.
+    """
     _check_step(h)
     lam, vecs, m = _quadratic_eig(pot)
     decay, var = _ou(lam, h)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     mean = m + vecs @ (decay * (vecs.T @ (x - m)))
-    return Gaussian(mean, (vecs * var) @ vecs.T)
+    return Gaussian._from_eig(mean, var, vecs)
 
 
 def _lmc_geometric_sum(z, n: int):
@@ -303,6 +307,10 @@ def propagate_law(pot: PotentialSpec, init: Gaussian, scheme: str, h: float, n: 
       A law that overflows (|1 - h lam| > 1) raises ValueError.
     - ExactDiffusion, composed OU transitions: D = e^{-h lam},
       q_n = (1 - D^{2n}) / lam = -expm1(-2 n h lam) / lam.
+
+    From a Dirac start (S = 0) the covariance is diag(q_n) in that basis, and
+    the law is built from it with no ``eigh``; other starts form the d x d
+    covariance and decompose it.
     """
     _check_step(h)
     lam, vecs, m = _quadratic_eig(pot)
@@ -310,8 +318,8 @@ def propagate_law(pot: PotentialSpec, init: Gaussian, scheme: str, h: float, n: 
         raise ValueError("n must be >= 0")
     if n == 0:
         return init
+    dirac = not np.any(init.cov)
     mu = vecs.T @ (init.mean - m)
-    sig = vecs.T @ init.cov @ vecs
     with np.errstate(over="ignore", invalid="ignore"):
         if scheme == "LMC":
             decay = (1.0 - h * lam) ** n
@@ -321,11 +329,15 @@ def propagate_law(pot: PotentialSpec, init: Gaussian, scheme: str, h: float, n: 
         else:
             raise ValueError("scheme must be LMC or ExactDiffusion")
         mean = m + vecs @ (decay * mu)
-        s = (decay[:, None] * sig) * decay[None, :] + np.diag(noise)
-        cov = vecs @ s @ vecs.T
+        if dirac:
+            cov = noise
+        else:
+            sig = vecs.T @ init.cov @ vecs
+            s = (decay[:, None] * sig) * decay[None, :] + np.diag(noise)
+            cov = vecs @ s @ vecs.T
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
         raise ValueError(f"{scheme} law diverged: |1 - h lam| > 1 overflows by step {n}")
-    return Gaussian(mean, cov)
+    return Gaussian._from_eig(mean, noise, vecs) if dirac else Gaussian(mean, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +422,26 @@ def _exp_remainder(z: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _pow2_scale(top: float) -> float:
+    """The power of two in (top / 2, top] for top > 0 (0.5 at 0 and inf).
+
+    Dividing by it is exact in the normal range and leaves every |value| <=
+    top below 2, so a sum of squares scaled by it cannot overflow, and where
+    the unscaled sum does not overflow the result is the same to the bit.
+    """
+    return math.ldexp(1.0, math.frexp(top)[1] - 1)
+
+
+def _max_abs(g: np.ndarray) -> float:
+    return float(np.max(np.abs(g), initial=0.0))
+
+
+def _norm(g: np.ndarray) -> float:
+    """Euclidean norm of g, finite wherever the norm is."""
+    s = _pow2_scale(_max_abs(g))
+    return s * float(np.linalg.norm(g / s))
+
+
 def _exact_local_errors(pot: PotentialSpec, scheme: str, x: np.ndarray, h: float):
     """Exact weak/strong one-step errors for quadratic targets.
 
@@ -433,16 +465,17 @@ def _exact_local_errors(pot: PotentialSpec, scheme: str, x: np.ndarray, h: float
     moved = xi[live] != 0.0
     xi = xi[live][moved]
     if scheme == "LMC":
-        weak = float(np.linalg.norm(_exp_remainder(z[moved], 1) * xi))
-        strong = math.sqrt(weak * weak + float(np.sum(_lmc_coupled_variance(lam, h))))
-        return weak, strong
+        weak = _norm(_exp_remainder(z[moved], 1) * xi)
+        var = float(np.sum(_lmc_coupled_variance(lam, h)))
+        s = _pow2_scale(max(weak, math.sqrt(var)))
+        return weak, s * math.sqrt((weak / s) * (weak / s) + var / s / s)
     # the u-average of (1 - z - e^{-z} + u z^2)^2 is (e^{-z} - 1 + z - z^2/2)^2 + z^4/12
     gap = _exp_remainder(z[moved], 2) * xi
-    weak = float(np.linalg.norm(gap))
-    mean_sq = float(np.sum(gap**2 + (z[moved] ** 2 * xi) ** 2 / 12.0))
-    var = 2.0 * _rmlmc_variance_sum(z) / lam
-    strong = math.sqrt(mean_sq + float(np.sum(var)))
-    return weak, strong
+    tilt = z[moved] ** 2 * xi
+    var = float(np.sum(2.0 * _rmlmc_variance_sum(z) / lam))
+    s = _pow2_scale(max(_max_abs(gap), _max_abs(tilt), math.sqrt(var)))
+    mean_sq = float(np.sum((gap / s) ** 2 + (tilt / s) ** 2 / 12.0))
+    return _norm(gap), s * math.sqrt(mean_sq + var / s / s)
 
 
 def _mc_local_errors(pot, scheme, x, h, samples, seed, inner_steps):
@@ -603,13 +636,13 @@ def simulate_chain(pot: PotentialSpec, config: SamplerConfig, init) -> ChainResu
 
 def dump_samples_csv(path, result: ChainResult) -> None:
     """Write iterates as CSV rows `replica, step, coord_0..coord_{d-1}`."""
-    samples, n_plus_1, d = result.iterates.shape
+    samples, _, d = result.iterates.shape
+    row = "%d,%d," + ",".join(["%.17g"] * d) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("replica,step," + ",".join(f"coord_{j}" for j in range(d)) + "\n")
         for r in range(samples):
-            for s in range(n_plus_1):
-                coords = ",".join("%.17g" % v for v in result.iterates[r, s])
-                fh.write(f"{r},{s},{coords}\n")
+            steps = result.iterates[r].tolist()
+            fh.write("".join(row % (r, s, *coords) for s, coords in enumerate(steps)))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,14 @@ def _as_mean(mean) -> np.ndarray:
     return m
 
 
+def _clip_spectrum(lam: np.ndarray) -> np.ndarray:
+    """An ascending spectrum clipped at 0; negative beyond PSD_TOL * max(lam_max, 1) is rejected."""
+    lam_max = max(float(lam[-1]), 0.0)
+    if lam[0] < -PSD_TOL * max(lam_max, 1.0):
+        raise ValueError(f"covariance is not PSD (min eigenvalue {lam[0]:g})")
+    return np.clip(lam, 0.0, None)
+
+
 def _as_cov(cov, d: int) -> np.ndarray:
     c = np.asarray(cov, dtype=float)
     if c.ndim == 0:
@@ -61,7 +69,10 @@ class Gaussian:
     Mean and covariance must be finite.  ``cov`` must be symmetric (1e-12
     relative) and PSD up to roundoff; degenerate (singular) covariances are
     allowed and represent point masses in the flat directions.  Scalars are
-    accepted for 1D convenience.
+    accepted for 1D convenience.  The constructor decomposes ``cov`` once
+    (``eigh``) and caches the spectrum, ascending, for the divergences; a law
+    already known in an orthonormal eigenbasis is built from it by the
+    private ``_from_eig``, which skips that ``eigh``.
     """
 
     mean: np.ndarray
@@ -79,16 +90,39 @@ class Gaussian:
             raise ValueError("covariance is not symmetric")
         c = 0.5 * (c + c.T)
         lam, vecs = np.linalg.eigh(c)
-        lam_max = max(float(lam[-1]), 0.0)
-        if lam[0] < -PSD_TOL * max(lam_max, 1.0):
-            raise ValueError(f"covariance is not PSD (min eigenvalue {lam[0]:g})")
-        lam = np.clip(lam, 0.0, None)
-        m.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "cov", c)
-        object.__setattr__(self, "_eigvals", lam)
-        object.__setattr__(self, "_eigvecs", vecs)
+        self._freeze(m, c, _clip_spectrum(lam), vecs)
+
+    @classmethod
+    def _from_eig(cls, mean, vals, vecs) -> "Gaussian":
+        """N(mean, vecs diag(vals) vecs^T) for a trusted orthonormal basis ``vecs``.
+
+        Runs no ``eigh`` (nor ``__post_init__``) but makes the constructor's
+        checks on what it is given: a finite mean and spectrum, and no
+        eigenvalue below -PSD_TOL * max(lam_max, 1), the rest clipped at 0.
+        The spectrum is sorted ascending with the columns of ``vecs``.
+        """
+        m = _as_mean(mean)
+        lam = np.asarray(vals, dtype=float)
+        vecs = np.asarray(vecs, dtype=float)
+        if lam.shape != m.shape or vecs.shape != (m.size, m.size):
+            raise ValueError(f"spectrum {lam.shape} and basis {vecs.shape} do not match "
+                             f"dimension {m.size}")
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(lam))):
+            raise ValueError("mean and eigenvalues must be finite")
+        order = np.argsort(lam, kind="stable")
+        lam, vecs = _clip_spectrum(lam[order]), vecs[:, order]
+        c = (vecs * lam) @ vecs.T
+        c = 0.5 * (c + c.T)
+        if not np.all(np.isfinite(c)):
+            raise ValueError("covariance overflows")
+        g = object.__new__(cls)
+        g._freeze(m, c, lam, vecs)
+        return g
+
+    def _freeze(self, m, c, lam, vecs) -> None:
+        for name, arr in (("mean", m), ("cov", c), ("_eigvals", lam), ("_eigvecs", vecs)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -110,14 +144,12 @@ def _check_dims(p: Gaussian, q: Gaussian):
 
 
 def _logdet_and_solve(q: Gaussian, rhs: np.ndarray):
-    """log det(cov_q) and cov_q^{-1} @ rhs via the cached eigendecomposition."""
+    """log det(cov_q) and cov_q^{-1} @ rhs for a vector rhs via the cached eigendecomposition."""
     lam, vecs = q._eigvals, q._eigvecs
     lam_max = max(float(lam[-1]), 0.0)
     if lam[0] <= EIG_CLAMP * max(lam_max, 1.0):
         raise ValueError("divergence undefined/infinite: singular second-argument covariance")
-    logdet = float(np.sum(np.log(lam)))
-    sol = vecs @ ((vecs.T @ rhs).T / lam).T if rhs.ndim > 1 else vecs @ ((vecs.T @ rhs) / lam)
-    return logdet, sol
+    return float(np.sum(np.log(lam))), vecs @ ((vecs.T @ rhs) / lam)
 
 
 def kl_gaussian(p: Gaussian, q: Gaussian) -> float:
@@ -125,18 +157,20 @@ def kl_gaussian(p: Gaussian, q: Gaussian) -> float:
 
     For equal covariances Sigma this reduces to 0.5 <mu_p - mu_q,
     Sigma^{-1} (mu_p - mu_q)>.  The second argument must be nondegenerate;
-    a degenerate first argument gives +inf.
+    a degenerate first argument gives +inf.  The trace term is
+    sum_i (V^T Sigma_p V)_ii / lam_i in q's eigenbasis (one matmul), and a
+    value that roundoff takes below 0 is returned as 0.
     """
     _check_dims(p, q)
-    d = p.dim
     delta = p.mean - q.mean
-    logdet_q, sol = _logdet_and_solve(q, np.column_stack([p.cov, delta]))
-    quad = float(delta @ sol[:, d])
-    trace = float(np.trace(sol[:, :d]))
+    logdet_q, sol = _logdet_and_solve(q, delta)
     if p.is_degenerate():
         return math.inf
+    vecs = q._eigvecs
+    trace = float(np.sum(np.sum(vecs * (p.cov @ vecs), axis=0) / q._eigvals))
+    quad = float(delta @ sol)
     logdet_p = float(np.sum(np.log(p._eigvals)))
-    return 0.5 * (trace + quad - d + logdet_q - logdet_p)
+    return max(0.5 * (trace + quad - p.dim + logdet_q - logdet_p), 0.0)
 
 
 def w2_gaussian(p: Gaussian, q: Gaussian) -> float:
@@ -160,7 +194,7 @@ def renyi_gaussian(order: float, p: Gaussian, q: Gaussian) -> float:
     Uses the standard closed form with the mixture covariance
     Sig_* = order * Sig_q + (1 - order) * Sig_p; returns +inf when Sig_*
     fails to be positive definite.  At order -> 1 this converges to
-    kl_gaussian.
+    kl_gaussian.  A value that roundoff takes below 0 is returned as 0.
     """
     if not order > 1.0:
         raise ValueError("Renyi order must be > 1")
@@ -178,7 +212,7 @@ def renyi_gaussian(order: float, p: Gaussian, q: Gaussian) -> float:
     logdet_p = float(np.sum(np.log(p._eigvals)))
     logdet_q = lam_q
     log_ratio = logdet_mix - (1.0 - order) * logdet_p - order * logdet_q
-    return 0.5 * order * quad - log_ratio / (2.0 * (order - 1.0))
+    return max(0.5 * order * quad - log_ratio / (2.0 * (order - 1.0)), 0.0)
 
 
 def affine_pushforward(g: Gaussian, mat, vec) -> Gaussian:

@@ -314,6 +314,21 @@ class TestExactLaws:
         assert np.max(np.abs(law.mean - mean)) <= 1e-12 * max(1.0, np.max(np.abs(mean)))
         assert np.max(np.abs(law.cov - cov)) <= 1e-12 * np.max(np.abs(cov))
 
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    def test_lmc_dirac_law_matches_steps(self, n):
+        # a Dirac start builds the law in the precision's eigenbasis, with no eigh
+        h = 0.1
+        lam = np.concatenate([[0.0, 1e-9, 0.03, 0.5, 1.0, 1.5, 1.9, 2.0, 2.5],
+                              np.linspace(0.2, 1.8, 11)]) / h
+        rng = np.random.default_rng(100 + n)
+        for rotate in (True, False):
+            pot = rotated_quadratic(rng, lam, rotate)
+            init = gauss.Gaussian(rng.standard_normal(lam.size), np.zeros((lam.size, lam.size)))
+            law = propagate_law(pot, init, "LMC", h, n)
+            mean, cov = lmc_law_by_steps(pot, init, h, n)
+            assert np.max(np.abs(law.mean - mean)) <= 1e-12 * max(1.0, np.max(np.abs(mean)))
+            assert np.max(np.abs(law.cov - cov)) <= 1e-12 * np.max(np.abs(cov))
+
     def test_unstable_lmc_law_divergence_raises(self):
         with pytest.raises(ValueError, match="diverged"):
             propagate_law(UNIT, gauss.Gaussian(1.0, 0.0), "LMC", 2.5, 2000)
@@ -490,6 +505,20 @@ class TestSimulateChain:
         replica, step, coord = lines[1].split(",")
         assert (replica, step) == ("0", "0")
         assert float(coord) == 0.0
+
+    def test_csv_bytes_match_per_value_formatting(self, tmp_path):
+        edge = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1.7976931348623157e308,
+                0.1, 1.0 / 3.0, 123456789.0, 1e-7, math.inf, math.nan]
+        iterates = np.array(edge * 5).reshape(3, 4, 5)
+        res = chains.ChainResult(iterates, SamplerConfig("LMC", 0.1, 3, samples=3))
+        path = tmp_path / "samples.csv"
+        dump_samples_csv(path, res)
+        want = "replica,step," + ",".join(f"coord_{j}" for j in range(5)) + "\n"
+        for r in range(3):
+            for s in range(4):
+                want += f"{r},{s}," + ",".join("%.17g" % v for v in iterates[r, s]) + "\n"
+        assert path.read_bytes() == want.encode()
+        assert "-0," in want and "4.9406564584124654e-324" in want
 
 
 class TestAuxiliaryProcess:
@@ -777,3 +806,148 @@ class TestNonFiniteAndExtremeInput:
         beta = alpha + spread
         pot = PotentialSpec(1, lambda x: x, -alpha, beta, zeta, zeta)
         assert (pot.alpha, pot.beta, pot.zeta0) == (-alpha, beta, zeta)
+
+
+def local_errors_mp(lam, xi, h):
+    """(weak, strong) of LMC and RMLMC per scheme, summed over eigendirections
+    (lam_i, xi_i), to 50 digits.  Per direction, with z = lam h:
+    LMC mean gap e^{-z} - 1 + z, variance 2h (1 + phi(2z) - 2 phi(z));
+    RMLMC mean gap e^{-z} - 1 + z - z^2/2, squared-gap spread z^4 / 12, and
+    variance (2/lam) (z^3/6 + int_0^z (e^{-x} - 1 + x)^2 dx), the integral
+    expanded term by term."""
+    with mpmath.workdps(50):
+        h = mpmath.mpf(h)
+        sums = {"LMC": [0, 0], "RMLMC": [0, 0]}
+        for lam_i, xi_i in zip(lam, xi):
+            lam_i, xi_i = mpmath.mpf(lam_i), mpmath.mpf(xi_i)
+            z = lam_i * h
+            phi = lambda t: -mpmath.expm1(-t) / t  # noqa: E731
+            gap = (mpmath.exp(-z) - 1 + z) * xi_i
+            sums["LMC"][0] += gap**2
+            sums["LMC"][1] += gap**2 + 2 * h * (1 + phi(2 * z) - 2 * phi(z))
+            gap = (mpmath.exp(-z) - 1 + z - z**2 / 2) * xi_i
+            integral = (-mpmath.expm1(-2 * z) / 2 + z + z**3 / 3 - z**2
+                        - 2 * z * mpmath.exp(-z))
+            sums["RMLMC"][0] += gap**2
+            sums["RMLMC"][1] += gap**2 + (z**2 * xi_i) ** 2 / 12 + 2 * (z**3 / 6 + integral) / lam_i
+        # float() of a value past the largest float is inf, as the float code gives
+        return {s: tuple(float(mpmath.sqrt(v)) for v in pair) for s, pair in sums.items()}
+
+
+class TestHugeStepAccuracy:
+    @pytest.mark.parametrize("h", [1e150, 1e300])
+    def test_local_errors_against_mpmath(self, h):
+        # np.linalg.norm squared before it summed, so a weak error past ~1.3e154 was inf
+        cases = [([1.0], [1.0]), ([3.0], [-2.0]), ([1.0, 2.0, 3.0], [1.0, -1.0, 2.0])]
+        for lam, x in cases:
+            pot = PotentialSpec.quadratic_potential(np.diag(lam))
+            xi = pot.quadratic._eigvecs.T @ np.array(x)
+            want = local_errors_mp(pot.quadratic._eigvals, xi, h)
+            for scheme in ("LMC", "RMLMC"):
+                est = estimate_local_errors(pot, scheme, np.array(x), h)
+                for kind, got, ref in zip(("weak", "strong"), (est.weak, est.strong),
+                                          want[scheme]):
+                    if math.isinf(ref):
+                        assert got == math.inf
+                    elif scheme == "RMLMC" and kind == "strong":
+                        # its z^3 variance (>= 1e450 here) overflows, so it may be inf
+                        # where the error itself is finite, but never nan
+                        assert got == math.inf or got == pytest.approx(ref, rel=1e-14, abs=0.0)
+                    else:
+                        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+            assert math.isfinite(estimate_local_errors(pot, "LMC", np.array(x), h).strong)
+
+    def test_unscaled_range_bit_identical(self):
+        # in the range where squaring cannot overflow, the scaled norms are the plain ones
+        rng = np.random.default_rng(12)
+        for d in (1, 4, 30):
+            pot = rotated_quadratic(rng, np.exp(rng.uniform(-2.0, 2.0, d)))
+            lam, vecs, m = pot.quadratic._eigvals, pot.quadratic._eigvecs, pot.quadratic.mode
+            x = m + rng.standard_normal(d)
+            xi = vecs.T @ (x - m)
+            for h in (1e-3, 0.05, 0.3):
+                z = lam * h
+                weak = float(np.linalg.norm(chains._exp_remainder(z, 1) * xi))
+                var = float(np.sum(chains._lmc_coupled_variance(lam, h)))
+                est = estimate_local_errors(pot, "LMC", x, h)
+                assert (est.weak, est.strong) == (weak, math.sqrt(weak * weak + var))
+                gap = chains._exp_remainder(z, 2) * xi
+                mean_sq = float(np.sum(gap**2 + (z**2 * xi) ** 2 / 12.0))
+                var = float(np.sum(2.0 * chains._rmlmc_variance_sum(z) / lam))
+                est = estimate_local_errors(pot, "RMLMC", x, h)
+                assert (est.weak, est.strong) == (float(np.linalg.norm(gap)),
+                                                  math.sqrt(mean_sq + var))
+
+
+def within(a, b, rel=1e-12):
+    return a == b or abs(a - b) <= rel * (1.0 + abs(b))
+
+
+class TestEigenbasisLaws:
+    def test_dirac_start_runs_no_eigh(self, monkeypatch):
+        pot = rotated_quadratic(np.random.default_rng(13), np.linspace(0.5, 3.0, 6))
+        dirac = gauss.Gaussian(np.ones(6), np.zeros((6, 6)))
+        spread = gauss.Gaussian(np.ones(6), np.eye(6))
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        laws = [propagate_law(pot, dirac, "LMC", 0.1, 30),
+                propagate_law(pot, dirac, "ExactDiffusion", 0.1, 30),
+                exact_diffusion_kernel(pot, np.ones(6), 0.1)]
+        assert calls == []
+        # a start with covariance still takes the dense path, which decomposes the law
+        propagate_law(pot, spread, "LMC", 0.1, 30)
+        assert calls == [(6, 6)]
+        for law in laws:
+            assert np.all(np.diff(law._eigvals) >= 0.0)
+
+    def test_divergences_match_dense_construction(self):
+        # >= 200 random rotated quadratic targets; each law built in the eigenbasis
+        # against the same mean and covariance decomposed by the constructor
+        rng = np.random.default_rng(2024)
+        renyi = lambda a, b: gauss.renyi_gaussian(1.5, a, b)  # noqa: E731
+        for d in [1, 2, 5, 40, 160] * 40:
+            lam = np.exp(rng.uniform(math.log(0.05), math.log(4.0), d))
+            pot = rotated_quadratic(rng, lam)
+            p, m = pot.quadratic.precision, pot.quadratic.mode
+            target = gauss.Gaussian(m, np.linalg.inv(p))
+            h = rng.uniform(0.01, 0.2)
+            n = int(np.exp(rng.uniform(0.0, math.log(2000.0))))
+            x = m + 2.0 * rng.standard_normal(d)
+            dirac = gauss.Gaussian(x, np.zeros((d, d)))
+            laws = [propagate_law(pot, dirac, s, h, n) for s in ("LMC", "ExactDiffusion")]
+            laws.append(exact_diffusion_kernel(pot, x, h))
+            for law in laws:
+                dense = gauss.Gaussian(law.mean, law.cov)
+                for f in (gauss.kl_gaussian, renyi):
+                    assert within(f(law, target), f(dense, target)), (d, h, n)
+                    assert within(f(target, law), f(target, dense)), (d, h, n)
+                assert within(gauss.w2_gaussian(law, target), gauss.w2_gaussian(dense, target))
+                # with the law second W2 reads its square root; W2^2 is a difference of
+                # traces, so its own roundoff scale is eps * (tr S_p + tr S_q)
+                root, want = law.sqrt_cov(), dense.sqrt_cov()
+                assert np.max(np.abs(root - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+                scale = 1.0 + np.trace(law.cov) + np.trace(target.cov)
+                a, b = gauss.w2_gaussian(target, law), gauss.w2_gaussian(target, dense)
+                assert abs(a * a - b * b) <= 1e-12 * scale, (d, h, n, a, b)
+
+    def test_near_stationary_divergences_never_negative(self):
+        # KL and Renyi of laws equal to the target up to roundoff came out as -6e-14
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            pot = rotated_quadratic(rng, rng.uniform(0.5, 2.0, 160))
+            m = pot.quadratic.mode
+            target = gauss.Gaussian(m, np.linalg.inv(pot.quadratic.precision))
+            for _ in range(6):
+                dirac = gauss.Gaussian(m + rng.standard_normal(160), np.zeros((160, 160)))
+                law = propagate_law(pot, dirac, "ExactDiffusion", 0.1, 2000)
+                for p in (law, gauss.Gaussian(law.mean, law.cov)):
+                    assert gauss.kl_gaussian(p, target) >= 0.0
+                    assert gauss.kl_gaussian(target, p) >= 0.0
+                    assert gauss.renyi_gaussian(1.5, p, target) >= 0.0
+                    assert gauss.renyi_gaussian(1.5, target, p) >= 0.0

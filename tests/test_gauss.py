@@ -262,6 +262,100 @@ class TestGaussianValidation:
             g.mean[0] = 1.0
 
 
+def random_basis(rng, d):
+    return np.linalg.qr(rng.standard_normal((d, d)))[0]
+
+
+class TestFromEig:
+    def test_matches_constructor(self):
+        rng = np.random.default_rng(3)
+        for d in (1, 2, 7):
+            vecs, vals = random_basis(rng, d), rng.uniform(0.1, 3.0, d)
+            mean = rng.standard_normal(d)
+            fast = Gaussian._from_eig(mean, vals, vecs)
+            slow = Gaussian(mean, (vecs * vals) @ vecs.T)
+            assert np.array_equal(fast.mean, slow.mean)
+            np.testing.assert_allclose(fast.cov, slow.cov, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(fast._eigvals, slow._eigvals, rtol=1e-13)
+            assert np.array_equal(fast.cov, fast.cov.T)
+
+    def test_spectrum_sorted_with_its_basis(self):
+        vecs = random_basis(np.random.default_rng(4), 4)
+        vals = np.array([3.0, 0.0, 1.0, 2.0])
+        g = Gaussian._from_eig(np.zeros(4), vals, vecs)
+        assert np.array_equal(g._eigvals, np.sort(vals))
+        np.testing.assert_allclose((g._eigvecs * g._eigvals) @ g._eigvecs.T, g.cov, atol=1e-15)
+        np.testing.assert_allclose(g.cov @ vecs[:, 0], 3.0 * vecs[:, 0], atol=1e-14)
+        # the zero eigenvalue reached [0], where is_degenerate reads it
+        assert g.is_degenerate()
+        assert kl_gaussian(g, Gaussian(np.zeros(4), np.eye(4))) == math.inf
+
+    @pytest.mark.parametrize("mean, vals", [
+        ([math.nan, 0.0], [1.0, 1.0]),
+        ([0.0, math.inf], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, math.nan]),
+        ([0.0, 0.0], [math.inf, 1.0]),
+        ([0.0, 0.0], [-math.inf, 1.0]),
+    ])
+    def test_non_finite_rejected(self, mean, vals):
+        with pytest.raises(ValueError, match="finite"):
+            Gaussian._from_eig(mean, vals, np.eye(2))
+
+    def test_negative_eigenvalue_beyond_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="PSD"):
+            Gaussian._from_eig([0.0, 0.0], [2.0, -1e-11], np.eye(2))
+        # within PSD_TOL * max(lam_max, 1) it is roundoff, clipped to 0
+        g = Gaussian._from_eig([0.0, 0.0], [2.0, -1e-13], np.eye(2))
+        assert np.array_equal(g._eigvals, [0.0, 2.0])
+        assert np.array_equal(g.cov, np.diag([2.0, 0.0]))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            Gaussian._from_eig([0.0, 0.0], [1.0], np.eye(2))
+        with pytest.raises(ValueError, match="dimension"):
+            Gaussian._from_eig([0.0, 0.0], [1.0, 1.0], np.eye(3))
+
+    def test_arrays_read_only(self):
+        vecs = random_basis(np.random.default_rng(5), 3)
+        g = Gaussian._from_eig(np.ones(3), [1.0, 2.0, 3.0], vecs)
+        for arr in (g.mean, g.cov, g._eigvals, g._eigvecs):
+            assert not arr.flags.writeable
+        assert vecs.flags.writeable  # the caller's basis is not frozen
+
+    def test_runs_no_eigh(self, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        g = Gaussian._from_eig([0.0, 1.0], [1.0, 2.0], np.eye(2))
+        assert kl_gaussian(g, g) == 0.0
+
+
+def kl_by_solve(p, q):
+    """KL(p || q) with dense solves and slogdet, independent of the eigenbasis."""
+    delta = p.mean - q.mean
+    trace = np.trace(np.linalg.solve(q.cov, p.cov))
+    quad = delta @ np.linalg.solve(q.cov, delta)
+    logdet = np.linalg.slogdet(q.cov)[1] - np.linalg.slogdet(p.cov)[1]
+    return 0.5 * (trace + quad - p.dim + logdet)
+
+
+class TestKLTrace:
+    def test_matches_solve_reference(self):
+        rng = np.random.default_rng(6)
+        for d in (1, 2, 5, 30):
+            for scale in (1e-3, 1.0, 1e3):
+                p, q = random_gaussian(rng, d, scale), random_gaussian(rng, d, scale)
+                want = kl_by_solve(p, q)
+                assert kl_gaussian(p, q) == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    def test_singular_second_argument_checked_before_degenerate_first(self):
+        point = Gaussian([0.0, 0.0], np.zeros((2, 2)))
+        flat = Gaussian([0.0, 0.0], np.diag([1.0, 0.0]))
+        with pytest.raises(ValueError, match="singular"):
+            kl_gaussian(point, flat)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     mp=st.floats(-5, 5), mq=st.floats(-5, 5),
