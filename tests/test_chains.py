@@ -928,8 +928,10 @@ class TestEigenbasisLaws:
                     assert within(f(law, target), f(dense, target)), (d, h, n)
                     assert within(f(target, law), f(target, dense)), (d, h, n)
                 assert within(gauss.w2_gaussian(law, target), gauss.w2_gaussian(dense, target))
-                # with the law second W2 reads its square root; W2^2 is a difference of
-                # traces, so its own roundoff scale is eps * (tr S_p + tr S_q)
+                # with the law second W2 reads its square root.  W2 itself does not meet
+                # the 1e-12 relative agreement there: W2^2 is a difference of traces, so
+                # near W2 ~ 1e-6 roundoff sets it.  This weaker check bounds only W2^2 by
+                # its roundoff scale eps * (tr S_p + tr S_q).
                 root, want = law.sqrt_cov(), dense.sqrt_cov()
                 assert np.max(np.abs(root - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
                 scale = 1.0 + np.trace(law.cov) + np.trace(target.cov)

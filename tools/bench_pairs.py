@@ -5,7 +5,8 @@
 
 Each pair runs the command of ``BENCHMARK.json`` (``python3 bench/run.py``)
 with ``--workload W --seed S --seconds T --trace 0`` once in each checkout,
-one after the other.  Even pairs start with the parent and odd pairs with the
+one after the other, where T is the ``run_seconds`` of ``BENCHMARK.json``, so
+both sides run as long as the benchmark itself runs them.  Even pairs start with the parent and odd pairs with the
 change, so a drift of the host during the session falls on both sides alike.
 The last line of a run's standard output is its result and the line before
 it its environment (see bench/README.md).
@@ -30,12 +31,12 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, command: list[str], args) -> tuple[dict, dict]:
+def run_once(checkout: Path, command: list[str], args, seconds: float) -> tuple[dict, dict]:
     """One benchmark run in a checkout: (result, environment)."""
     argv = [*command, "--workload", args.workload, "--seed", str(args.seed),
-            "--seconds", str(args.seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
-                          timeout=10 * args.seconds + 600)
+                          timeout=10 * seconds + 600)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2 or not lines[-2].startswith("environment: "):
         sys.exit(f"benchmark run in {checkout} failed (exit {proc.returncode}):\n"
@@ -72,7 +73,6 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<k>.json to update")
     args = parser.parse_args()
     if args.pairs < 1:
@@ -87,7 +87,7 @@ def main() -> int:
         first = SIDES[k % 2]
         order.append(first)
         for side in (first, SIDES[1 - k % 2]):
-            result, env = run_once(checkouts[side], spec["command"], args)
+            result, env = run_once(checkouts[side], spec["command"], args, spec["run_seconds"])
             environment = environment or env
             runs[side].append(result)
             ops = result["metrics"]["ops_per_s"]["value"]
@@ -99,7 +99,7 @@ def main() -> int:
     record["environment"] = environment
     record.setdefault("workloads", {})[args.workload] = {
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": spec["run_seconds"],
         "pairs": args.pairs,
         "first_in_pair": order,
         "correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
