@@ -9,8 +9,8 @@ instances:
 
  1. the exact closed-form optimum,
  2. the explicit optimal schedule pushed through the recursion,
- 3. an oracle that knows nothing about the closed forms: grid value
-    iteration, then one L-BFGS-B solve in r = (1 - eta) d.
+ 3. an oracle that knows nothing about the closed forms: projected Newton
+    in r = (1 - eta) d, with an O(n) tridiagonal solve per iteration.
 """
 
 import numpy as np

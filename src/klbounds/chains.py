@@ -380,28 +380,28 @@ def _lmc_coupled_variance(lam: np.ndarray, h: float) -> np.ndarray:
     return 2.0 * h * bracket
 
 
-# Taylor coefficients of _rmlmc_variance_sum below z = 1: 1/6 at z^3 and
-# (-1)^(m+1) (2^(m-1) - 2m) / m! at z^m for m = 5..25 (the rest vanish).
-_RMLMC_SERIES = np.zeros(26)
-_RMLMC_SERIES[3] = 1.0 / 6.0
-_RMLMC_SERIES[5:] = [(-1) ** (m + 1) * (2 ** (m - 1) - 2 * m) / math.factorial(m)
+# Taylor coefficients of _rmlmc_variance_ratio below z = 1: 1/6 at z^2 and
+# (-1)^(m+1) (2^(m-1) - 2m) / m! at z^(m-1) for m = 5..25 (the rest vanish).
+_RMLMC_SERIES = np.zeros(25)
+_RMLMC_SERIES[2] = 1.0 / 6.0
+_RMLMC_SERIES[4:] = [(-1) ** (m + 1) * (2 ** (m - 1) - 2 * m) / math.factorial(m)
                      for m in range(5, 26)]
 
 
-def _rmlmc_variance_sum(z: np.ndarray) -> np.ndarray:
-    """z^3/6 + int_0^z (e^{-x} - 1 + x)^2 dx for z >= 0.
+def _rmlmc_variance_ratio(z: np.ndarray) -> np.ndarray:
+    """S(z) / z for z >= 0, where S(z) = z^3/6 + int_0^z (e^{-x} - 1 + x)^2 dx.
 
-    From z = 1 up the closed form z^3/2 - z^2 + z - 2z e^{-z} - expm1(-2z)/2;
-    below, where its O(z) terms cancel to O(z^3), the Taylor series, whose
-    truncation error there is below 1e-19.
+    From z = 1 up the closed form z^2/2 - z + 1 - 2 e^{-z} - expm1(-2z)/(2z),
+    which never forms z^3; below, where its O(1) terms cancel to O(z^2), the
+    Taylor series, whose truncation error there is below 1e-19.
     """
     out = np.empty_like(z)
     small = z < 1.0
     out[small] = np.polynomial.polynomial.polyval(z[small], _RMLMC_SERIES)
     zl = z[~small]
-    # Horner and z (e^{-z}) keep an overflow at inf, never inf - inf or inf * 0
-    out[~small] = (zl * ((zl / 2.0 - 1.0) * zl + 1.0) - 2.0 * (zl * np.exp(-zl))
-                   - np.expm1(-2.0 * zl) / 2.0)
+    # Horner keeps an overflow at inf, never inf - inf
+    out[~small] = ((zl / 2.0 - 1.0) * zl + 1.0 - 2.0 * np.exp(-zl)
+                   - np.expm1(-2.0 * zl) / (2.0 * zl))
     return out
 
 
@@ -452,7 +452,8 @@ def _exact_local_errors(pot: PotentialSpec, scheme: str, x: np.ndarray, h: float
     - RMLMC, given the midpoint fraction u: mean (1 - z - e^{-z} + u z^2) xi
       (u-average: the weak error), variance 2 [int_t^h (1 - z - e^{-lam s})^2 ds
       + int_0^t (1 - e^{-lam s})^2 ds] with t = (1 - u) h.  Its u-average is
-      (2/lam) (z^3/6 + int_0^z (e^{-x} - 1 + x)^2 dx), accurate at every z.
+      (2/lam) S(z) = 2h S(z)/z with S(z) = z^3/6 + int_0^z (e^{-x} - 1 + x)^2 dx,
+      accurate at every z.
     """
     lam, vecs, m = _quadratic_eig(pot)
     xi = vecs.T @ (x - m)
@@ -472,10 +473,13 @@ def _exact_local_errors(pot: PotentialSpec, scheme: str, x: np.ndarray, h: float
     # the u-average of (1 - z - e^{-z} + u z^2)^2 is (e^{-z} - 1 + z - z^2/2)^2 + z^4/12
     gap = _exp_remainder(z[moved], 2) * xi
     tilt = z[moved] ** 2 * xi
-    var = float(np.sum(2.0 * _rmlmc_variance_sum(z) / lam))
-    s = _pow2_scale(max(_max_abs(gap), _max_abs(tilt), math.sqrt(var)))
+    # each variance term 2h S(z)/z is scaled by s^2 before the sum: S(z) ~ z^3/2
+    # overflows from z ~ 1e103 on, long before the strong error does
+    ratio = _rmlmc_variance_ratio(z)
+    s = _pow2_scale(max(_max_abs(gap), _max_abs(tilt), math.sqrt(h) * _norm(np.sqrt(2.0 * ratio))))
     mean_sq = float(np.sum((gap / s) ** 2 + (tilt / s) ** 2 / 12.0))
-    return _norm(gap), s * math.sqrt(mean_sq + var / s / s)
+    var = float(np.sum(2.0 * (h / s) * ratio / s))
+    return _norm(gap), s * math.sqrt(mean_sq + var)
 
 
 def _mc_local_errors(pot, scheme, x, h, samples, seed, inner_steps):

@@ -98,8 +98,10 @@ def suite_toy(n_max: int = 100) -> list[CheckRow]:
 def suite_shifts(instances: int = 1000, seed: int = 20240801) -> list[CheckRow]:
     """Random Simple instances: closed form vs oracle, schedule vs closed form.
 
-    L < 1 instances are drawn with d0 >= a, the regime covered by the
-    contraction closed form (which clamps d0 up to a otherwise).
+    The oracle must lie within 1e-12 of the closed form and, since it
+    evaluates a feasible schedule, not below it beyond that rounding.  L < 1
+    instances are drawn with d0 >= a, the regime covered by the contraction
+    closed form (which clamps d0 up to a otherwise).
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -125,7 +127,8 @@ def suite_shifts(instances: int = 1000, seed: int = 20240801) -> list[CheckRow]:
             schedule = shifts.optimal_shifts_L1(n, a, d0)[0]
         problem = shifts.ShiftProblem(n, big_l, d0, shifts.SimpleError(a))
         _, dp_value = shifts.dp_oracle(problem)
-        rows.append(_rel_row(f"oracle_{i:04d}", dp_value, closed, 1e-6))
+        rows.append(_rel_row(f"oracle_{i:04d}", dp_value, closed, 1e-12))
+        rows.append(_geq_row(f"floor_{i:04d}", dp_value, closed * (1.0 - 1e-12)))
         reproduced = shifts.evaluate_schedule(problem, schedule).total
         rows.append(_rel_row(f"schedule_{i:04d}", reproduced, closed, 1e-10))
     return rows

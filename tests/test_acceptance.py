@@ -59,21 +59,25 @@ def test_criterion_1_toy_bound_validity():
 
 
 def test_criterion_2_shift_oracle_equivalence():
-    """1000 random instances: closed forms vs DP oracle (1e-6), schedules (1e-10)."""
+    """1000 random instances: closed forms vs DP oracle, a two-sided 1e-12
+    sandwich (the oracle evaluates a feasible schedule, so it is never below
+    the optimum beyond rounding), schedules (1e-10)."""
     t0 = time.perf_counter()
     rows = verify.suite_shifts(instances=1000)
     elapsed = time.perf_counter() - t0
     failed = [r for r in rows if not r.passed]
     oracle_rows = [r for r in rows if r.check.startswith("oracle_")]
+    floor_rows = [r for r in rows if r.check.startswith("floor_")]
     sched_rows = [r for r in rows if r.check.startswith("schedule_")]
     golden = {r.check: r for r in rows if r.check.startswith("golden")}
     golden_ok = all(r.passed for r in golden.values()) and len(golden) == 4
     report(
         2,
-        not failed and len(oracle_rows) == 1000 and len(sched_rows) == 1000
-        and golden_ok and elapsed < 60.0,
-        f"{len(oracle_rows)} oracle rows, {len(sched_rows)} schedule rows, "
-        f"{len(failed)} failures, {elapsed:.1f}s",
+        not failed and len(oracle_rows) == 1000 and len(floor_rows) == 1000
+        and len(sched_rows) == 1000 and golden_ok and elapsed < 60.0
+        and all(r.tolerance == 1e-12 for r in oracle_rows),
+        f"{len(oracle_rows)} oracle rows, {len(floor_rows)} floor rows, "
+        f"{len(sched_rows)} schedule rows, {len(failed)} failures, {elapsed:.1f}s",
     )
 
 

@@ -739,7 +739,7 @@ class TestSmallStepAccuracy:
 
     def test_rmlmc_variance_sum_continuous_at_switch(self):
         z = np.array([math.nextafter(1.0, 0.0), 1.0])
-        below, above = chains._rmlmc_variance_sum(z)
+        below, above = chains._rmlmc_variance_ratio(z)
         assert above == pytest.approx(below, rel=1e-15)
 
 
@@ -791,7 +791,9 @@ class TestNonFiniteAndExtremeInput:
                 assert est.weak <= est.strong
                 if x == 0.0:
                     assert est.weak == 0.0
-            assert estimate_local_errors(pot, "RMLMC", x, h).strong == math.inf
+            # finite while (lam h)^2 is, though the variance's (lam h)^3 is not
+            strong = estimate_local_errors(pot, "RMLMC", x, h).strong
+            assert math.isfinite(strong) == (h == 1e150)
 
     @settings(max_examples=60, deadline=None)
     @given(field=st.sampled_from(["alpha", "beta", "zeta0", "zeta1"]))
@@ -849,11 +851,9 @@ class TestHugeStepAccuracy:
                                           want[scheme]):
                     if math.isinf(ref):
                         assert got == math.inf
-                    elif scheme == "RMLMC" and kind == "strong":
-                        # its z^3 variance (>= 1e450 here) overflows, so it may be inf
-                        # where the error itself is finite, but never nan
-                        assert got == math.inf or got == pytest.approx(ref, rel=1e-14, abs=0.0)
                     else:
+                        # the RMLMC strong error stays finite although its z^3
+                        # variance (>= 1e450 at h = 1e150) does not
                         assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
             assert math.isfinite(estimate_local_errors(pot, "LMC", np.array(x), h).strong)
 
@@ -873,7 +873,7 @@ class TestHugeStepAccuracy:
                 assert (est.weak, est.strong) == (weak, math.sqrt(weak * weak + var))
                 gap = chains._exp_remainder(z, 2) * xi
                 mean_sq = float(np.sum(gap**2 + (z**2 * xi) ** 2 / 12.0))
-                var = float(np.sum(2.0 * chains._rmlmc_variance_sum(z) / lam))
+                var = float(np.sum(2.0 * h * chains._rmlmc_variance_ratio(z)))
                 est = estimate_local_errors(pot, "RMLMC", x, h)
                 assert (est.weak, est.strong) == (float(np.linalg.norm(gap)),
                                                   math.sqrt(mean_sq + var))

@@ -461,12 +461,71 @@ class TestOverflow:
 
 
 def test_import_leaves_scipy_out():
-    # only the oracle needs scipy.optimize, so importing klbounds must not load scipy
+    # scipy is a test-only dependency: neither importing klbounds nor running
+    # the oracle, convex (a1 <= L a0) or not, may load it
     src = os.path.dirname(os.path.dirname(shifts.__file__))
-    code = "import sys, klbounds; print('scipy' in sys.modules)"
+    code = ("import sys, klbounds; print('scipy' in sys.modules)\n"
+            "from klbounds.shifts import ShiftProblem, WeakAwareError, dp_oracle\n"
+            "for a1 in (0.5, 3.0):\n"
+            "    dp_oracle(ShiftProblem(6, 1.2, 2.0, WeakAwareError(1.0, a1)))\n"
+            "print('scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
+
+
+def simple_oracle_draws():
+    """Random Simple problems with their closed-form optimum."""
+    rng = np.random.default_rng(14)
+    for _ in range(60):
+        n = int(rng.integers(1, 21))
+        big_l = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.5, 0.99))
+        a = float(rng.uniform(0, 10))
+        d0 = float(rng.uniform(0, 10))
+        if big_l < 1.0:
+            d0 = max(d0, a)
+            want = optimal_value_Lgeneral(n, a, d0, big_l)
+        else:
+            want = optimal_value_L1(n, a, d0)
+        yield ShiftProblem(n, big_l, d0, SimpleError(a)), want
+
+
+def weak_aware_oracle_draws():
+    """Random WeakAware problems: a1 <= L a0 (convex in r = (1 - eta) d) on
+    even draws, up to 5 L a0 on odd ones."""
+    rng = np.random.default_rng(18)
+    for i in range(120):
+        n = int(rng.integers(1, 31))
+        big_l = float(rng.uniform(0.5, 2.0))
+        a0 = float(rng.uniform(0.0, 3.0))
+        a1 = float(rng.uniform(0.0, 1.0) if i % 2 == 0 else rng.uniform(1.0, 5.0)) * big_l * a0
+        d0, c, c_prime, b = (float(v) for v in rng.uniform([0.0, 0.1, 0.1, 0.0], [5.0, 3.0, 3.0, 1.0]))
+        yield ShiftProblem(n, big_l, d0, WeakAwareError(a0, a1), c=c, c_prime=c_prime, b=b)
+
+
+def kkt_residual(problem, schedule):
+    """KKT residual of the kept distances r_k = (1 - eta_k) d_k over r >= 0.
+
+    The largest |projected gradient| times the range [0, d_k] of r_k,
+    relative to the objective without b^2; the gradient by a plain loop.
+    """
+    n, big_l, c, cp = problem.n, problem.L, problem.c, problem.c_prime
+    d = evaluate_schedule(problem, schedule).distances
+    r = [(1.0 - e) * dk for e, dk in zip(schedule.eta[:-1], d[:-1])]
+    gaps = [max(d[k] - r[k], 0.0) for k in range(n - 1)]
+    value = c * sum(g * g for g in gaps) + cp * d[-1] ** 2
+    worst = 0.0
+    for k in range(n - 1):
+        if isinstance(problem.error, SimpleError):
+            slope = big_l  # of d_{k+1} in r_k
+        else:
+            slope = (big_l * big_l * r[k] + problem.error.a1) / d[k + 1]
+        weight = c * gaps[k + 1] if k + 1 < n - 1 else cp * d[-1]
+        grad = 2.0 * (weight * slope - c * gaps[k])
+        if r[k] == 0.0:
+            grad = min(grad, 0.0)
+        worst = max(worst, abs(grad) * d[k])
+    return worst / value if worst > 0.0 else 0.0
 
 
 class TestDpOracle:
@@ -482,18 +541,8 @@ class TestDpOracle:
             assert val == pytest.approx(want, rel=1e-6)
 
     def test_matches_closed_forms_randomized(self):
-        rng = np.random.default_rng(14)
-        for _ in range(60):
-            n = int(rng.integers(1, 21))
-            big_l = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.5, 0.99))
-            a = float(rng.uniform(0, 10))
-            d0 = float(rng.uniform(0, 10))
-            if big_l < 1.0:
-                d0 = max(d0, a)
-                want = optimal_value_Lgeneral(n, a, d0, big_l)
-            else:
-                want = optimal_value_L1(n, a, d0)
-            _, val = dp_oracle(ShiftProblem(n, big_l, d0, SimpleError(a)))
+        for problem, want in simple_oracle_draws():
+            _, val = dp_oracle(problem)
             assert val == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_weak_aware_reduces_to_simple(self):
@@ -505,7 +554,8 @@ class TestDpOracle:
             d0 = float(rng.uniform(a0, a0 + 5))
             _, v_weak = dp_oracle(ShiftProblem(n, big_l, d0, WeakAwareError(a0, big_l * a0)))
             _, v_simple = dp_oracle(ShiftProblem(n, big_l, d0, SimpleError(a0)))
-            assert v_weak == pytest.approx(v_simple, rel=1e-5)
+            # at a1 = L a0 the recursion is exactly the Simple one
+            assert v_weak == pytest.approx(v_simple, rel=1e-12)
 
     def test_value_is_feasible_upper_bound(self):
         pr = ShiftProblem(6, 0.9, 3.0, WeakAwareError(0.5, 0.2), c=1.0, c_prime=2.0)
@@ -515,19 +565,31 @@ class TestDpOracle:
     def test_weak_aware_beats_fixed_schedules(self):
         # all-ones, 1/(n-k) and all-0.5 were the old oracle's polish starts;
         # three-phase is the schedule the certified bound evaluates
-        rng = np.random.default_rng(18)
-        for i in range(120):
-            n = int(rng.integers(1, 31))
-            big_l = float(rng.uniform(0.5, 2.0))
-            a0 = float(rng.uniform(0.0, 3.0))
-            # a1 <= L a0 (convex in r = (1 - eta) d) on even draws, up to 5 L a0 on odd
-            a1 = float(rng.uniform(0.0, 1.0) if i % 2 == 0 else rng.uniform(1.0, 5.0)) * big_l * a0
-            d0, c, c_prime, b = (float(v) for v in rng.uniform([0.0, 0.1, 0.1, 0.0], [5.0, 3.0, 3.0, 1.0]))
-            pr = ShiftProblem(n, big_l, d0, WeakAwareError(a0, a1), c=c, c_prime=c_prime, b=b)
+        for pr in weak_aware_oracle_draws():
+            n = pr.n
             _, val = dp_oracle(pr)
             for eta in (np.ones(n), np.append(1.0 / np.arange(n, 1, -1), 1.0),
-                        np.append(np.full(n - 1, 0.5), 1.0), three_phase_schedule(n, big_l).eta):
+                        np.append(np.full(n - 1, 0.5), 1.0), three_phase_schedule(n, pr.L).eta):
                 assert val <= evaluate_schedule(pr, eta).total
+
+    def test_convex_solutions_meet_kkt(self):
+        # where the objective is convex in r the solve stops on the KKT residual
+        draws = [pr for pr, _ in simple_oracle_draws()]
+        draws += [pr for pr in weak_aware_oracle_draws() if pr.error.a1 <= pr.L * pr.error.a0]
+        assert len(draws) > 100
+        for pr in draws:
+            schedule, _ = dp_oracle(pr)
+            assert kkt_residual(pr, schedule) <= shifts._KKT_TOL
+
+    def test_value_scales_with_problem(self):
+        # scaling d0 and the error levels by s scales the objective by s^2; the
+        # non-convex grid start once floored its distance grid at 1e-12
+        for a1 in (1.5, 2.5, 4.0):
+            for big_l in (0.7, 1.0, 1.3):
+                _, base = dp_oracle(ShiftProblem(8, big_l, 3.0, WeakAwareError(1.0, a1)))
+                for s in (1e-20, 1e-8, 1e20):
+                    _, val = dp_oracle(ShiftProblem(8, big_l, 3.0 * s, WeakAwareError(s, a1 * s)))
+                    assert val / (s * s) == pytest.approx(base, rel=1e-12)
 
     def test_scale_limits(self):
         with pytest.raises(ValueError, match="oracle-scale"):
