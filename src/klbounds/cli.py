@@ -1,11 +1,21 @@
 """Batch verification and reproduction command line tool.
 
-Subcommands: bound, shifts, plan, sample, local-errors, verify.  Parameters
-come from a flat key=value config file (`--config`) overridden by repeated
-`--set key=value` flags; every command writes a CSV (header row, 17
-significant digits, trailing `# tool_version, config_hash` comment) and a
-human-readable summary on stdout.  Exit codes: 0 success, 1 verification
-failure, 2 usage/validation error.
+Subcommands and the flags each takes (any other flag exits 2):
+
+    bound         --config --set --out --constant
+    shifts        --config --set --out
+    plan          --config --set --out --constant
+    sample        --config --set --out --seed
+    local-errors  --config --set --out
+    verify        SUITE --out
+
+Parameters come from a flat key=value config file (`--config`) overridden
+by repeated `--set key=value` flags.  A config key the command never reads
+is an error: nothing is computed from a misspelt or conflicting key.  Every
+command writes a CSV (header row, 17 significant digits, trailing
+`# tool_version, config_hash` comment) and a human-readable summary on
+stdout.  Exit codes: 0 success, 1 verification failure, 2 usage/validation
+error.
 """
 
 from __future__ import annotations
@@ -26,14 +36,22 @@ class UsageError(Exception):
     pass
 
 
+class Config(dict):
+    """Flat key=value parameters; `read` collects every key a command asks for."""
+
+    def __init__(self):
+        super().__init__()
+        self.read: set[str] = set()
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return "%.17g" % value
     return str(value)
 
 
-def load_config(path: str | None, overrides: list[str]) -> dict[str, str]:
-    cfg: dict[str, str] = {}
+def load_config(path: str | None, overrides: list[str] | None) -> Config:
+    cfg = Config()
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -60,7 +78,8 @@ def config_hash(cfg: dict[str, str]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _get(cfg, key, cast, default=None, required=False):
+def _get(cfg: Config, key, cast=str, default=None, required=False):
+    cfg.read.add(key)
     if key not in cfg:
         if required:
             raise UsageError(f"missing required key `{key}`")
@@ -75,11 +94,17 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def write_csv(path: str, header: list[str], rows: list[list], cfg_hash: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def write_csv(path: str, table, cfg_hash: str) -> None:
+    """Write `table`, a (header, rows) pair or a ChainResult, and the trailer line."""
+    if isinstance(table, chains.ChainResult):
+        chains.dump_samples_csv(path, table)
+    else:
+        header, rows = table
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+    with open(path, "a", encoding="utf-8") as fh:
         fh.write(f"# tool_version={__version__}, config_hash={cfg_hash}\n")
 
 
@@ -88,25 +113,25 @@ def _schedule_hash(schedule: shifts.ShiftSchedule) -> str:
 
 
 # ---------------------------------------------------------------------------
-# bound
+# Handlers: each takes the config plus the flags its COMMANDS entry names,
+# and returns (table, summary lines), with the exit code appended by verify.
 # ---------------------------------------------------------------------------
 
 
-def cmd_bound(cfg: dict[str, str], out: str, constant: float) -> int:
+def cmd_bound(cfg: Config, constant: float):
     n = _get(cfg, "n", int, required=True)
     if n < 1:
         raise UsageError("key `n` must be >= 1")
     rows: list[list] = []
-    if "toy_w" in cfg or "toy_sigma" in cfg:
-        w = _get(cfg, "toy_w", float, required=True)
-        sigma = _get(cfg, "toy_sigma", float, required=True)
-        k = bounds.toy_assumptions(w, sigma)
-        if constant != 1.0:
-            k = replace(k, implied_constant=constant)
-        w2_init = _get(cfg, "w2_init", float, default=0.0)
-        rows.append([n, "exact", gauss.toy_exact_kl(n, w, sigma), 1.0, "", ""])
-    else:
-        try:
+    try:
+        if "toy_w" in cfg or "toy_sigma" in cfg:
+            w = _get(cfg, "toy_w", float, required=True)
+            sigma = _get(cfg, "toy_sigma", float, required=True)
+            k = bounds.toy_assumptions(w, sigma)
+            if constant != 1.0:
+                k = replace(k, implied_constant=constant)
+            rows.append([n, "exact", gauss.toy_exact_kl(n, w, sigma), 1.0, "", ""])
+        else:
             k = bounds.KernelAssumptions(
                 L=_get(cfg, "L", float, required=True),
                 gamma=_get(cfg, "gamma", float, default=0.0),
@@ -118,15 +143,15 @@ def cmd_bound(cfg: dict[str, str], out: str, constant: float) -> int:
                 a=_get(cfg, "a", float, default=0.0),
                 implied_constant=constant,
             )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        w2_init = _get(cfg, "w2_init", float, default=0.0)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    w2_init = _get(cfg, "w2_init", float, default=0.0)
     default_modes = ["closed_form"]
     if k.L <= 1.0:
         default_modes.insert(0, "simple")
     if 0.5 <= k.L <= 2.0:
         default_modes.append("certified")
-    modes = cfg.get("modes", ",".join(default_modes)).split(",")
+    modes = _get(cfg, "modes", default=",".join(default_modes)).split(",")
     for mode in [m.strip() for m in modes if m.strip()]:
         try:
             if mode == "simple":
@@ -144,23 +169,13 @@ def cmd_bound(cfg: dict[str, str], out: str, constant: float) -> int:
                          _schedule_hash(rep.schedule), rep.trace.distances[-1]])
         else:
             rows.append([n, mode, rep.value, rep.constant_used, "", ""])
-    cfg_h = config_hash(cfg)
-    write_csv(out, ["n", "mode", "value", "constant_used", "schedule_hash", "d_last"],
-              rows, cfg_h)
-    print(f"bound evaluation (n={n}, config {cfg_h})")
-    for row in rows:
-        print(f"  {row[1]:<12} {_fmt(row[2])}")
-    print(f"wrote {out}")
-    return 0
+    header = ["n", "mode", "value", "constant_used", "schedule_hash", "d_last"]
+    summary = [f"bound evaluation (n={n}, config {config_hash(cfg)})"]
+    summary += [f"  {row[1]:<12} {_fmt(row[2])}" for row in rows]
+    return (header, rows), summary
 
 
-# ---------------------------------------------------------------------------
-# shifts
-# ---------------------------------------------------------------------------
-
-
-def cmd_shifts(cfg: dict[str, str], out: str, constant: float) -> int:
-    del constant
+def cmd_shifts(cfg: Config):
     n = _get(cfg, "n", int, required=True)
     big_l = _get(cfg, "L", float, default=1.0)
     a = _get(cfg, "a", float, required=True)
@@ -180,33 +195,25 @@ def cmd_shifts(cfg: dict[str, str], out: str, constant: float) -> int:
         trace = shifts.evaluate_schedule(problem, schedule)
         with_cross = shifts.final_bound_with_cross_reg(n, a, d0, big_l, c, c_prime, b)
         dp_value = None
-        if n <= 30 and _get(cfg, "dp", int, default=1):
+        if n <= 30:
             uniform = shifts.ShiftProblem(n, big_l, d0, shifts.SimpleError(a))
             _, dp_value = shifts.dp_oracle(uniform)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     rows = [[k, schedule.eta[k], trace.distances[k]] for k in range(n)]
-    cfg_h = config_hash(cfg)
-    write_csv(out, ["step", "eta", "distance"], rows, cfg_h)
-    print(f"shift schedule (n={n}, L={_fmt(big_l)}, a={_fmt(a)}, d0={_fmt(d0)})")
-    print(f"  uniform-cost closed form : {_fmt(closed)}")
+    summary = [f"shift schedule (n={n}, L={_fmt(big_l)}, a={_fmt(a)}, d0={_fmt(d0)})",
+               f"  uniform-cost closed form : {_fmt(closed)}"]
     if dp_value is not None:
         rel = abs(dp_value - closed) / max(abs(closed), 1e-12)
-        print(f"  dp oracle                : {_fmt(dp_value)}  (rel gap {rel:.2e})")
-    print(f"  (c, c', b) objective     : {_fmt(trace.total)}")
-    print(f"  closed form w/ cross-reg : {_fmt(with_cross)}")
-    print(f"wrote {out}")
-    return 0
+        summary.append(f"  dp oracle                : {_fmt(dp_value)}  (rel gap {rel:.2e})")
+    summary += [f"  (c, c', b) objective     : {_fmt(trace.total)}",
+                f"  closed form w/ cross-reg : {_fmt(with_cross)}"]
+    return (["step", "eta", "distance"], rows), summary
 
 
-# ---------------------------------------------------------------------------
-# plan
-# ---------------------------------------------------------------------------
-
-
-def cmd_plan(cfg: dict[str, str], out: str, constant: float) -> int:
-    schemes_req = cfg.get("scheme", ",".join(schemes.PLAN_SCHEMES)).split(",")
-    settings_req = cfg.get("setting", ",".join(schemes.SETTINGS)).split(",")
+def cmd_plan(cfg: Config, constant: float):
+    schemes_req = _get(cfg, "scheme", default=",".join(schemes.PLAN_SCHEMES)).split(",")
+    settings_req = _get(cfg, "setting", default=",".join(schemes.SETTINGS)).split(",")
     cells = [(sc.strip(), st.strip()) for sc in schemes_req for st in settings_req]
     params = schemes.PlanParams(
         alpha=_get(cfg, "alpha", float, required=True),
@@ -218,7 +225,9 @@ def cmd_plan(cfg: dict[str, str], out: str, constant: float) -> int:
         w2_init=_get(cfg, "W", float, default=None),
         chi2_init=_get(cfg, "chi2_init", float, default=None),
     )
-    rows, md = [], []
+    rows = []
+    summary = ["| scheme | setting | h | N | N(2d)/N(d) | N(eps/2)/N(eps) | initialization |",
+               "|---|---|---|---|---|---|---|"]
     for scheme, setting in cells:
         try:
             res = schemes.plan_iterations(setting, scheme, params, constant)
@@ -234,31 +243,16 @@ def cmd_plan(cfg: dict[str, str], out: str, constant: float) -> int:
         e_ratio = res_he.n_powerlaw / res.n_powerlaw
         rows.append([scheme, setting, res.h, res.n_iterations, res.n_powerlaw,
                      d_ratio, e_ratio, res.polylog, res.assumptions_echo])
-        md.append(
+        summary.append(
             f"| {scheme} | {setting} | {res.h:.6g} | {res.n_iterations} "
             f"| {d_ratio:.6g} | {e_ratio:.6g} | {res.assumptions_echo} |"
         )
-    cfg_h = config_hash(cfg)
-    write_csv(
-        out,
-        ["scheme", "setting", "h", "n_iterations", "n_powerlaw",
-         "n_ratio_d_doubled", "n_ratio_eps_halved", "polylog", "initialization"],
-        rows, cfg_h,
-    )
-    print("| scheme | setting | h | N | N(2d)/N(d) | N(eps/2)/N(eps) | initialization |")
-    print("|---|---|---|---|---|---|---|")
-    for line in md:
-        print(line)
-    print(f"wrote {out}")
-    return 0
+    header = ["scheme", "setting", "h", "n_iterations", "n_powerlaw",
+              "n_ratio_d_doubled", "n_ratio_eps_halved", "polylog", "initialization"]
+    return (header, rows), summary
 
 
-# ---------------------------------------------------------------------------
-# sample
-# ---------------------------------------------------------------------------
-
-
-def _potential_from_cfg(cfg: dict[str, str]) -> chains.PotentialSpec:
+def _potential_from_cfg(cfg: Config) -> chains.PotentialSpec:
     prec = _get(cfg, "precision", _float_list, default=[1.0])
     mode = _get(cfg, "mode", _float_list, default=[0.0] * len(prec))
     if len(mode) != len(prec):
@@ -266,12 +260,11 @@ def _potential_from_cfg(cfg: dict[str, str]) -> chains.PotentialSpec:
     return chains.PotentialSpec.quadratic_potential(np.diag(prec), np.asarray(mode))
 
 
-def cmd_sample(cfg: dict[str, str], out: str, constant: float, seed: int) -> int:
-    del constant
+def cmd_sample(cfg: Config, seed: int):
     pot = _potential_from_cfg(cfg)
     try:
         config = chains.SamplerConfig(
-            scheme=cfg.get("scheme", "LMC"),
+            scheme=_get(cfg, "scheme", default="LMC"),
             h=_get(cfg, "h", float, required=True),
             n_steps=_get(cfg, "n", int, required=True),
             seed=seed,
@@ -281,88 +274,90 @@ def cmd_sample(cfg: dict[str, str], out: str, constant: float, seed: int) -> int
         result = chains.simulate_chain(pot, config, x0)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    chains.dump_samples_csv(out, result)
-    with open(out, "a", encoding="utf-8") as fh:
-        fh.write(f"# tool_version={__version__}, config_hash={config_hash(cfg)}\n")
-    emp_mean = result.empirical_mean()
-    emp_cov = result.empirical_cov()
-    print(f"sampled {config.samples} replicas x {config.n_steps} steps ({config.scheme})")
-    print(f"  empirical mean: {np.array2string(emp_mean, precision=6)}")
-    print(f"  empirical cov : {np.array2string(emp_cov, precision=6)}")
+    summary = [
+        f"sampled {config.samples} replicas x {config.n_steps} steps ({config.scheme})",
+        f"  empirical mean: {np.array2string(result.empirical_mean(), precision=6)}",
+        f"  empirical cov : {np.array2string(result.empirical_cov(), precision=6)}",
+    ]
     if config.scheme in ("LMC", "ExactDiffusion"):
         law = chains.propagate_law(
             pot, gauss.Gaussian(x0, np.zeros((pot.dimension, pot.dimension))),
             config.scheme, config.h, config.n_steps,
         )
-        print(f"  exact mean    : {np.array2string(law.mean, precision=6)}")
-        print(f"  exact cov     : {np.array2string(law.cov, precision=6)}")
-    print(f"wrote {out}")
-    return 0
+        summary += [f"  exact mean    : {np.array2string(law.mean, precision=6)}",
+                    f"  exact cov     : {np.array2string(law.cov, precision=6)}"]
+    return result, summary
 
 
-# ---------------------------------------------------------------------------
-# local-errors
-# ---------------------------------------------------------------------------
-
-
-def cmd_local_errors(cfg: dict[str, str], out: str, constant: float, seed: int) -> int:
-    del constant
+def cmd_local_errors(cfg: Config):
+    # CLI potentials are quadratic, so the local errors are exact: no samples, no seed
     pot = _potential_from_cfg(cfg)
-    scheme = cfg.get("scheme", "LMC")
+    scheme = _get(cfg, "scheme", default="LMC")
     h_grid = _get(cfg, "h_grid", _float_list, default=None)
     if h_grid is None:
         h_grid = [_get(cfg, "h", float, required=True)]
     x_val = _get(cfg, "x", _float_list, default=[1.0] * pot.dimension)
-    samples = _get(cfg, "samples", int, default=200_000)
     rows = []
     for h in h_grid:
         try:
-            est = chains.estimate_local_errors(pot, scheme, np.asarray(x_val), h,
-                                               samples=samples, seed=seed)
+            est = chains.estimate_local_errors(pot, scheme, np.asarray(x_val), h)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         rows.append([h, est.weak, est.strong, est.weak_stderr, est.strong_stderr,
                      int(est.exact), int(est.underpowered)])
-    cfg_h = config_hash(cfg)
-    write_csv(out, ["h", "weak", "strong", "weak_stderr", "strong_stderr",
-                    "exact", "underpowered"], rows, cfg_h)
-    print(f"local errors for {scheme} at x={x_val}")
-    for row in rows:
-        print(f"  h={_fmt(row[0])}: weak={_fmt(row[1])} strong={_fmt(row[2])}")
+    summary = [f"local errors for {scheme} at x={x_val}"]
+    summary += [f"  h={_fmt(r[0])}: weak={_fmt(r[1])} strong={_fmt(r[2])}" for r in rows]
     if len(h_grid) >= 3:
         weak_slope = verify.fit_loglog_slope(h_grid, [r[1] for r in rows])
         strong_slope = verify.fit_loglog_slope(h_grid, [r[2] for r in rows])
-        print(f"  slopes: weak {weak_slope:.3f}, strong {strong_slope:.3f}")
-    print(f"wrote {out}")
-    return 0
+        summary.append(f"  slopes: weak {weak_slope:.3f}, strong {strong_slope:.3f}")
+    header = ["h", "weak", "strong", "weak_stderr", "strong_stderr", "exact", "underpowered"]
+    return (header, rows), summary
 
 
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-
-def cmd_verify(suite: str, out: str) -> int:
+def cmd_verify(cfg: Config):
+    suite = _get(cfg, "suite")
     try:
         rows = verify.run_suite(suite)
     except KeyError as exc:
         raise UsageError(str(exc)) from exc
     csv_rows = [[r.check, r.observed, r.reference, r.tolerance, int(r.passed)]
                 for r in rows]
-    write_csv(out, ["check", "observed", "reference", "tolerance", "passed"],
-              csv_rows, config_hash({"suite": suite}))
     failed = [r for r in rows if not r.passed]
-    print(f"suite {suite}: {len(rows) - len(failed)}/{len(rows)} checks passed")
-    for r in failed[:20]:
-        print(f"  FAIL {r.check}: observed {_fmt(r.observed)} vs "
-              f"reference {_fmt(r.reference)} (tol {_fmt(r.tolerance)})")
-    print(f"wrote {out}")
-    return 1 if failed else 0
+    summary = [f"suite {suite}: {len(rows) - len(failed)}/{len(rows)} checks passed"]
+    summary += [f"  FAIL {r.check}: observed {_fmt(r.observed)} vs "
+                f"reference {_fmt(r.reference)} (tol {_fmt(r.tolerance)})" for r in failed[:20]]
+    header = ["check", "observed", "reference", "tolerance", "passed"]
+    return (header, csv_rows), summary, 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+# Each subcommand's handler and the arguments it takes.  `--config` and
+# `--set` build the handler's config; a positional argument becomes the
+# config key of its name; `--out` is the CSV path; any other flag is passed
+# to the handler as the keyword argument of its name.
+COMMANDS = {
+    "bound": (cmd_bound, ("--config", "--set", "--out", "--constant")),
+    "shifts": (cmd_shifts, ("--config", "--set", "--out")),
+    "plan": (cmd_plan, ("--config", "--set", "--out", "--constant")),
+    "sample": (cmd_sample, ("--config", "--set", "--out", "--seed")),
+    "local-errors": (cmd_local_errors, ("--config", "--set", "--out")),
+    "verify": (cmd_verify, ("suite", "--out")),
+}
+
+ARGUMENTS = {
+    "--config": dict(help="flat key=value parameter file"),
+    "--set": dict(action="append", default=[], metavar="KEY=VALUE",
+                  help="override one config key"),
+    "--out": dict(help="output CSV path"),
+    "--seed": dict(type=int, default=0),
+    "--constant": dict(type=float, default=1.0,
+                       help="multiplicative constant for order-only formulas"),
+    "suite": dict(help=f"one of {sorted(verify.SUITES)}"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,42 +366,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="KL local-error bounds: evaluation, planning, and verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value parameter file")
-    common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="override one config key")
-    common.add_argument("--out", help="output CSV path")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--constant", type=float, default=1.0,
-                        help="multiplicative constant for order-only formulas")
-    for name in ("bound", "shifts", "plan", "sample", "local-errors"):
-        sub.add_parser(name, parents=[common])
-    ver = sub.add_parser("verify", parents=[common])
-    ver.add_argument("suite", help=f"one of {sorted(verify.SUITES)}")
+    for name, (_, arguments) in COMMANDS.items():
+        command = sub.add_parser(name)
+        for argument in arguments:
+            command.add_argument(argument, **ARGUMENTS[argument])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    out = args.out or f"klbounds_{args.command.replace('-', '_')}.csv"
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
+    handler, arguments = COMMANDS[command]
+    out = args.pop("out") or f"klbounds_{command.replace('-', '_')}.csv"
     try:
-        cfg = load_config(args.config, args.set)
-        if args.command == "bound":
-            return cmd_bound(cfg, out, args.constant)
-        if args.command == "shifts":
-            return cmd_shifts(cfg, out, args.constant)
-        if args.command == "plan":
-            return cmd_plan(cfg, out, args.constant)
-        if args.command == "sample":
-            return cmd_sample(cfg, out, args.constant, args.seed)
-        if args.command == "local-errors":
-            return cmd_local_errors(cfg, out, args.constant, args.seed)
-        if args.command == "verify":
-            return cmd_verify(args.suite, out)
+        cfg = load_config(args.pop("config", None), args.pop("set", None))
+        cfg.update((key, args.pop(key)) for key in arguments if not key.startswith("-"))
+        table, summary, *status = handler(cfg, **args)
+        unread = sorted(set(cfg) - cfg.read)
+        if unread:
+            raise UsageError(f"`{command}` does not read config key(s) "
+                             + ", ".join(f"`{key}`" for key in unread))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
+    write_csv(out, table, config_hash(cfg))
+    for line in summary:
+        print(line)
+    print(f"wrote {out}")
+    return status[0] if status else 0
 
 
 def entry() -> None:

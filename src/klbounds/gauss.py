@@ -143,13 +143,13 @@ def _check_dims(p: Gaussian, q: Gaussian):
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
 
 
-def _logdet_and_solve(q: Gaussian, rhs: np.ndarray):
-    """log det(cov_q) and cov_q^{-1} @ rhs for a vector rhs via the cached eigendecomposition."""
-    lam, vecs = q._eigvals, q._eigvecs
+def _logdet(q: Gaussian) -> float:
+    """log det(cov_q) from the cached eigenvalues; rejects a singular cov_q."""
+    lam = q._eigvals
     lam_max = max(float(lam[-1]), 0.0)
     if lam[0] <= EIG_CLAMP * max(lam_max, 1.0):
         raise ValueError("divergence undefined/infinite: singular second-argument covariance")
-    return float(np.sum(np.log(lam))), vecs @ ((vecs.T @ rhs) / lam)
+    return float(np.sum(np.log(lam)))
 
 
 def kl_gaussian(p: Gaussian, q: Gaussian) -> float:
@@ -163,12 +163,12 @@ def kl_gaussian(p: Gaussian, q: Gaussian) -> float:
     """
     _check_dims(p, q)
     delta = p.mean - q.mean
-    logdet_q, sol = _logdet_and_solve(q, delta)
+    logdet_q = _logdet(q)
     if p.is_degenerate():
         return math.inf
-    vecs = q._eigvecs
-    trace = float(np.sum(np.sum(vecs * (p.cov @ vecs), axis=0) / q._eigvals))
-    quad = float(delta @ sol)
+    lam, vecs = q._eigvals, q._eigvecs
+    trace = float(np.sum(np.sum(vecs * (p.cov @ vecs), axis=0) / lam))
+    quad = float(delta @ (vecs @ ((vecs.T @ delta) / lam)))
     logdet_p = float(np.sum(np.log(p._eigvals)))
     return max(0.5 * (trace + quad - p.dim + logdet_q - logdet_p), 0.0)
 
@@ -200,7 +200,7 @@ def renyi_gaussian(order: float, p: Gaussian, q: Gaussian) -> float:
         raise ValueError("Renyi order must be > 1")
     _check_dims(p, q)
     delta = p.mean - q.mean
-    lam_q, _ = _logdet_and_solve(q, delta)  # rejects singular q
+    logdet_q = _logdet(q)
     mix = order * q.cov + (1.0 - order) * p.cov
     lam_mix, vecs = np.linalg.eigh(0.5 * (mix + mix.T))
     if lam_mix[0] <= EIG_CLAMP * max(float(lam_mix[-1]), 1.0):
@@ -210,7 +210,6 @@ def renyi_gaussian(order: float, p: Gaussian, q: Gaussian) -> float:
     quad = float(delta @ (vecs @ ((vecs.T @ delta) / lam_mix)))
     logdet_mix = float(np.sum(np.log(lam_mix)))
     logdet_p = float(np.sum(np.log(p._eigvals)))
-    logdet_q = lam_q
     log_ratio = logdet_mix - (1.0 - order) * logdet_p - order * logdet_q
     return max(0.5 * order * quad - log_ratio / (2.0 * (order - 1.0)), 0.0)
 

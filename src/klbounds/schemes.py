@@ -62,16 +62,13 @@ def langevin_kernel_params(alpha: float, beta: float, h: float) -> tuple[float, 
     return big_l, gamma, c
 
 
-def _require_step(h: float, beta: float, strict: bool = False):
+def _require_step(h: float, beta: float):
     _require_finite(h=h, beta=beta)
     if h <= 0.0:
         raise ValueError("h must be > 0")
     if beta < 0.0:
         raise ValueError("beta must be >= 0")
-    if strict:
-        if beta > 0.0 and h >= 1.0 / beta:
-            raise ValueError("requires h < 1/beta")
-    elif beta > 0.0 and h > 1.0 / beta:
+    if beta > 0.0 and h > 1.0 / beta:
         raise ValueError("requires h <= 1/beta")
 
 
@@ -137,7 +134,11 @@ def rmlmc_cross_reg(
     """
     if beta <= 0.0:
         raise ValueError("beta must be > 0")
-    _require_step(h, beta, strict=True)
+    _require_finite(h=h, beta=beta)
+    if h <= 0.0:
+        raise ValueError("h must be > 0")
+    if h >= 1.0 / beta:
+        raise ValueError("requires h < 1/beta")
     c_prime = constant * math.log(1.0 / (beta * h)) / h
     b2 = constant * (beta**2 * h**3 * grad_norm**2 + beta**2 * d * h**2)
     return c_prime, math.sqrt(b2)

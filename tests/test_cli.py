@@ -89,6 +89,14 @@ class TestBoundCommand:
         assert "modes" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("bad", ["toy_sigma=-1", "toy_w=nan"])
+    def test_invalid_toy_pair_is_a_usage_error(self, tmp_path, bad):
+        code, out = run(["bound", "--set", "n=4", "--set", "toy_w=0.1",
+                         "--set", "toy_sigma=1", "--set", bad], tmp_path)
+        assert code == 2
+        assert not out.exists()
+
+
 class TestShiftsCommand:
     def test_schedule_csv(self, tmp_path):
         code, out = run(
@@ -205,3 +213,44 @@ class TestVerifyCommand:
         code, _ = run(["bound", "--set", "n4"], tmp_path)
         assert code == 2
         assert "key=value" in capsys.readouterr().err
+
+
+class TestRejectedInput:
+    FLAGS = {
+        "bound": {"--config", "--set", "--out", "--constant"},
+        "shifts": {"--config", "--set", "--out"},
+        "plan": {"--config", "--set", "--out", "--constant"},
+        "sample": {"--config", "--set", "--out", "--seed"},
+        "local-errors": {"--config", "--set", "--out"},
+        "verify": {"--out"},
+    }
+    VALUES = {"--config": "x.cfg", "--set": "n=1", "--out": "x.csv", "--seed": "1",
+              "--constant": "2"}
+    POSITIONAL = {"verify": ["toy"]}
+
+    def test_each_subcommand_takes_exactly_its_flags(self):
+        parser = cli.build_parser()
+        for command, flags in self.FLAGS.items():
+            for flag, value in self.VALUES.items():
+                argv = [command, *self.POSITIONAL.get(command, []), flag, value]
+                if flag in flags:
+                    assert parser.parse_args(argv).command == command
+                else:
+                    with pytest.raises(SystemExit) as exc:
+                        parser.parse_args(argv)
+                    assert exc.value.code == 2, (command, flag)
+
+    @pytest.mark.parametrize("argv, key", [
+        (["bound", "--set", "n=10", "--set", "L=0.9", "--set", "c=1", "--set", "c_prime=1",
+          "--set", "e_strog=0.1"], "e_strog"),
+        (["bound", "--set", "n=4", "--set", "toy_w=0.1", "--set", "toy_sigma=1",
+          "--set", "L=0.9"], "L"),
+        (["shifts", "--set", "n=4", "--set", "a=0", "--set", "d0=1", "--set", "dp=0"], "dp"),
+        (["local-errors", "--set", "h=0.1", "--set", "samples=10"], "samples"),
+        (["local-errors", "--set", "h_grid=0.2,0.1", "--set", "h=0.1"], "h"),
+    ])
+    def test_unread_config_key_exits_2(self, tmp_path, capsys, argv, key):
+        code, out = run(argv, tmp_path)
+        assert code == 2
+        assert f"`{key}`" in capsys.readouterr().err
+        assert not out.exists()

@@ -7,7 +7,9 @@ and of the captured stderr, with the temporary path masked ("-" where no
 CSV was written).  The list covers every subcommand: ``sample`` for all
 three schemes, ``local-errors``, ``bound`` for the toy pair and for
 explicit constants, ``shifts``, ``plan`` and all five ``verify`` suites,
-plus the overflow and NaN-step inputs that must fail cleanly.
+plus the overflow and NaN-step inputs that must fail cleanly, a misspelt
+config key and a flag the subcommand does not take.  A rejection by the
+argument parser (``SystemExit``) is recorded as its exit code.
 
 It imports klbounds from the ``src/`` next to it, so running the same file
 in two checkouts and diffing the outputs shows which outputs a change
@@ -60,6 +62,9 @@ COMMANDS = [
     ("plan", ["plan", *_sets("alpha=1", "beta=2", "d=4", "eps=0.5", "W=3")]),
     *[(f"verify-{suite}", ["verify", suite])
       for suite in ("toy", "shifts", "gaussian-lmc", "local-errors", "slopes")],
+    ("bound-unknown-key", ["bound", *_sets(
+        "n=10", "L=0.9", "c=1", "c_prime=1", "e_strog=0.1")]),
+    ("shifts-seed-flag", ["shifts", *_sets("n=8", "L=0.9", "a=0.2", "d0=2"), "--seed", "1"]),
 ]
 
 
@@ -73,6 +78,8 @@ def digest(name: str, argv: list[str], tmp: Path) -> str:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             status = f"exit={cli.main([*argv, '--out', str(csv)])}"
+        except SystemExit as exc:
+            status = f"exit={exc.code}"
         except Exception as exc:  # recorded: a traceback is an outcome to compare
             status = f"raised={type(exc).__name__}"
     csv_hash = _sha(csv.read_bytes()) if csv.exists() else "-"
