@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from . import shifts
+from . import gauss, shifts
 
 __all__ = [
     "KernelAssumptions",
@@ -221,8 +221,7 @@ def toy_assumptions(w: float, sigma: float) -> KernelAssumptions:
     regularity c = 1, and cross-regularity c' = 1 with
     b^2 = w^2 + (sigma^2 - log(1+sigma^2))/2.
     """
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
+    gauss._check_toy(w, sigma)
     s2 = sigma * sigma
     gap = s2 / (1.0 + math.sqrt(1.0 + s2))
     a = math.sqrt(w * w + gap * gap)

@@ -1,6 +1,7 @@
 """Batch verification and reproduction command line tool.
 
-Subcommands and the flags each takes (any other flag exits 2):
+Subcommands and the flags each takes (any other flag exits 2 with the
+subcommand's usage line):
 
     bound         --config --set --out --constant
     shifts        --config --set --out
@@ -34,6 +35,16 @@ __all__ = ["main", "entry"]
 
 class UsageError(Exception):
     pass
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser: it reports unknown arguments under its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
 
 
 class Config(dict):
@@ -194,20 +205,16 @@ def cmd_shifts(cfg: Config):
                                       c=c, c_prime=c_prime, b=b)
         trace = shifts.evaluate_schedule(problem, schedule)
         with_cross = shifts.final_bound_with_cross_reg(n, a, d0, big_l, c, c_prime, b)
-        dp_value = None
-        if n <= 30:
-            uniform = shifts.ShiftProblem(n, big_l, d0, shifts.SimpleError(a))
-            _, dp_value = shifts.dp_oracle(uniform)
+        _, dp_value = shifts.dp_oracle(shifts.ShiftProblem(n, big_l, d0, shifts.SimpleError(a)))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     rows = [[k, schedule.eta[k], trace.distances[k]] for k in range(n)]
+    rel = abs(dp_value - closed) / max(abs(closed), 1e-12)
     summary = [f"shift schedule (n={n}, L={_fmt(big_l)}, a={_fmt(a)}, d0={_fmt(d0)})",
-               f"  uniform-cost closed form : {_fmt(closed)}"]
-    if dp_value is not None:
-        rel = abs(dp_value - closed) / max(abs(closed), 1e-12)
-        summary.append(f"  dp oracle                : {_fmt(dp_value)}  (rel gap {rel:.2e})")
-    summary += [f"  (c, c', b) objective     : {_fmt(trace.total)}",
-                f"  closed form w/ cross-reg : {_fmt(with_cross)}"]
+               f"  uniform-cost closed form : {_fmt(closed)}",
+               f"  dp oracle                : {_fmt(dp_value)}  (rel gap {rel:.2e})",
+               f"  (c, c', b) objective     : {_fmt(trace.total)}",
+               f"  closed form w/ cross-reg : {_fmt(with_cross)}"]
     return (["step", "eta", "distance"], rows), summary
 
 
@@ -365,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="klbounds",
         description="KL local-error bounds: evaluation, planning, and verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
     for name, (_, arguments) in COMMANDS.items():
         command = sub.add_parser(name)
         for argument in arguments:

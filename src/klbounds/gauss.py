@@ -237,7 +237,8 @@ def _sqrt1p_minus_one(x: float) -> float:
     return x / (1.0 + math.sqrt(1.0 + x))
 
 
-def _check_toy(n: int, w: float, sigma: float) -> None:
+def _check_toy(w: float, sigma: float, n: int = 1) -> None:
+    """The toy kernel pair's checks: finite w, finite sigma >= 0 and n >= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not math.isfinite(w):
@@ -252,14 +253,14 @@ def toy_exact_kl(n: int, w: float, sigma: float) -> float:
     Equals (n w^2 + sigma^2 - log(1 + sigma^2)) / 2; log1p keeps the
     sigma -> 0 limit accurate.
     """
-    _check_toy(n, w, sigma)
+    _check_toy(w, sigma, n)
     s2 = sigma * sigma
     return 0.5 * (n * w * w + s2 - math.log1p(s2))
 
 
 def toy_exact_w2(n: int, w: float, sigma: float) -> float:
     """Exact W2(mu Phat^n, mu P^n) for Dirac mu: sqrt(n^2 w^2 + n (sqrt(1+sigma^2)-1)^2)."""
-    _check_toy(n, w, sigma)
+    _check_toy(w, sigma, n)
     gap = _sqrt1p_minus_one(sigma * sigma)
     return math.sqrt(n * n * w * w + n * gap * gap)
 

@@ -14,10 +14,11 @@ and the objective charged to a schedule is
 This module provides exact evaluation of that objective, closed-form
 optimal values/schedules for the Simple recursion (contraction factor
 L = 1 and L in (0,1)), the feasible three-phase schedule used for the
-WeakAware recursion on 1/2 <= L <= 2, and an independent oracle for
-desk-scale verification: projected Newton in r = (1 - eta) d, with an O(N)
-tridiagonal solve per iteration, started from the all-ones schedule where
-the objective is convex in r and from a grid value iteration where it is not.
+WeakAware recursion on 1/2 <= L <= 2, and an independent oracle:
+projected Newton in r = (1 - eta) d, with an O(N) tridiagonal solve per
+iteration, started from the all-ones schedule where the objective is convex
+in r and from five fixed schedules (all-ones, 1/(N-k), all-1/2, all-zeros,
+three-phase) where it is not.
 
 Index convention: all closed forms are stated for N shifts with
 eta_{N-1} = 1 (the final interpolating shift), i.e. N-1 free shifts.
@@ -408,10 +409,6 @@ def three_phase_schedule(n: int, L: float) -> ShiftSchedule:
 # ---------------------------------------------------------------------------
 
 
-# Shift and distance grid sizes of the value iteration that starts the
-# non-convex solve.
-_GRID_ETA = 128
-_GRID_DIST = 256
 # Projected Newton: it stops once the KKT residual is at most _KKT_TOL times
 # the objective, after _MAX_NEWTON iterations, or when _MAX_HALVINGS
 # halvings of the step find no Armijo decrease (constant _ARMIJO, less a
@@ -426,9 +423,8 @@ _ROUNDING = 16.0 * sys.float_info.epsilon
 def _chain(problem: ShiftProblem):
     """The oracle's chain in the kept distances r_k = (1 - eta_k) d_k.
 
-    Returns step(r) -> d_{k+1} = s(r_k), slopes(r, nxt) -> (s'(r), s''(r)),
-    whether the objective is convex in r, and the error level a zero shift
-    adds per step (for the grid's reach).
+    Returns step(r) -> d_{k+1} = s(r_k), slopes(r, nxt) -> (s'(r), s''(r),
+    edge or None) and whether the objective is convex in r.
     """
     L = problem.L
     if isinstance(problem.error, SimpleError):
@@ -438,61 +434,26 @@ def _chain(problem: ShiftProblem):
             return L * r + a
 
         def slopes(r, nxt):
-            return np.full_like(r, L), np.zeros_like(r)
+            return np.full_like(r, L), np.zeros_like(r), None
 
-        return step, slopes, True, a
+        return step, slopes, True
     a0, a1 = problem.error.a0, problem.error.a1
 
     def step(r):
         return np.sqrt((L * r) ** 2 + 2.0 * a1 * r + a0 * a0)
 
     def slopes(r, nxt):
-        # nxt = 0 only at a0 = r = 0, where L is the slope's limit for a1 = 0
+        # nxt = 0 only at a0 = r = 0, where s' -> inf for a1 > 0.  There the
+        # slope L and no curvature give the Hessian diagonal's limit, from
+        # s'^2 + s s'' = L^2, and the edge a1 is the gradient's limit of s s'
         live = nxt > 0.0
         q = np.where(live, nxt, 1.0)
         slope = np.where(live, (L * L * r + a1) / q, L)
         # s'' = (L^2 a0^2 - a1^2) / nxt^3, without forming the cube
         curv = np.where(live, (L * a0 - a1) * ((L * a0 + a1) / q) / q / q, 0.0)
-        return slope, curv
+        return slope, curv, None if a0 > 0.0 else np.where(live, 0.0, a1)
 
-    return step, slopes, a1 <= L * a0, a0 + a1
-
-
-def _grid_start(problem: ShiftProblem, step, a_worst: float) -> np.ndarray:
-    """Kept distances of the greedy schedule of a grid value iteration.
-
-    Backward induction over a grid of shifts per step, with the value
-    function held on a logarithmic distance grid (linear interpolation),
-    picks the best grid shift at each step along the trajectory.
-    """
-    n, L, c = problem.n, problem.L, problem.c
-    # distance grid covering the zero-shift (worst-case) trajectory
-    d_max = reach = problem.d0
-    for _ in range(n - 1):
-        reach = L * reach + a_worst
-        d_max = max(d_max, reach)
-    d_max = d_max * 1.05 or 1.0
-    grid = np.concatenate([[0.0], np.geomspace(d_max * 1e-6, d_max, _GRID_DIST - 1)])
-    etas = np.linspace(0.0, 1.0, _GRID_ETA)
-
-    def to_go(d_vals: np.ndarray, tail: np.ndarray) -> np.ndarray:
-        """Stage cost plus interpolated value-to-go, distances x shifts."""
-        nxt = step((1.0 - etas[None, :]) * d_vals[:, None])
-        cont = np.interp(np.clip(nxt, grid[0], grid[-1]), grid, tail)
-        return c * etas[None, :] ** 2 * d_vals[:, None] ** 2 + cont
-
-    # tails[k] holds the value-to-go from step k on the distance grid, with
-    # tails[n-1](d) = c' d^2 (b^2 added at the end)
-    tails = [problem.c_prime * grid**2]
-    for _ in range(n - 1):
-        tails.append(np.min(to_go(grid, tails[-1]), axis=1))
-    tails.reverse()
-    r = np.empty(n - 1)
-    d = problem.d0
-    for k in range(n - 1):
-        r[k] = (1.0 - etas[int(np.argmin(to_go(np.array([d]), tails[k + 1])))]) * d
-        d = float(step(r[k]))
-    return r
+    return step, slopes, a1 <= L * a0
 
 
 def _thomas(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray):
@@ -538,10 +499,14 @@ def _projected_newton(problem: ShiftProblem, step, slopes, r: np.ndarray) -> np.
 
     for _ in range(_MAX_NEWTON):
         nxt, dist, gap, value = terms(r)
-        slope, curv = slopes(r, nxt)
-        # adjoint: d_{k+1} feeds the stage-(k+1) gap, or the final term
+        slope, curv, edge = slopes(r, nxt)
+        # adjoint: d_{k+1} feeds the stage-(k+1) gap, or the final term.  Where
+        # d_{k+1} = 0 that term's one-sided gradient is 2 cost s s' = 2 cost
+        # edge, or 0 while r_{k+1} > 0 keeps the stage-(k+1) gap clipped
         weight = np.append(c * gap[1:], cp * nxt[-1])
         grad = 2.0 * (weight * slope - c * gap)
+        if edge is not None:
+            grad += 2.0 * cost * edge * np.append(r[1:] == 0.0, True)
         # KKT: grad_k = 0 where r_k > 0 and grad_k >= 0 where r_k = 0, each
         # residual weighted by the range [0, d_k] of its kept distance
         residual = np.where(r > 0.0, grad, np.minimum(grad, 0.0))
@@ -578,29 +543,39 @@ def dp_oracle(problem: ShiftProblem) -> tuple[ShiftSchedule, float]:
     In the kept distances r_k = (1 - eta_k) d_k the next distance depends on
     r_k alone, so the objective c sum_k (d_k - r_k)_+^2 + c' d_{N-1}^2 is a
     chain over the box r >= 0 with a tridiagonal Hessian.  It is convex for
-    Simple errors and for WeakAware errors with a1 <= L a0; there the solve
-    starts from r = 0 (the all-ones schedule) and reaches the optimum.  For
-    a1 > L a0 a grid value iteration picks the start's basin and the solve
-    refines it to a local minimum.  Each projected Newton iteration costs
-    O(N): it stops once every shift's first-order gain is at most 1e-12 of
-    the objective (the KKT conditions), or when the line search finds no
-    decrease above rounding.  The returned value is the exact objective of
-    the feasible schedule read off the solved trajectory, hence an upper
-    bound on the true optimum.  On Simple instances it matches the closed
-    forms to 8e-16 relative (the worst over the 1000 instances of `verify
-    shifts`).
+    Simple errors and for WeakAware errors with a1 <= L a0; there one solve
+    from r = 0 (the all-ones schedule) reaches the optimum.  For a1 > L a0
+    the solve runs from the kept distances of five schedules, all-ones,
+    1/(N-k), all-1/2, all-zeros (no shift before the last) and, for
+    1/2 <= L <= 2, three-phase, to a local minimum each.  Each projected
+    Newton iteration costs O(N): it stops once every shift's first-order
+    gain is at most 1e-12 of the objective (the KKT conditions), or when the
+    line search finds no decrease above rounding.  The returned pair is the
+    best of the solved schedules and the starts themselves, with its exact
+    objective: an upper bound on the true optimum and never above any
+    start's objective, though for a1 > L a0 not always the global one.  On
+    Simple instances it matches the closed forms to 8e-16 relative (the
+    worst over the 1000 instances of `verify shifts`).
     """
-    if problem.n > 30:
-        raise ValueError("oracle-scale error: dp_oracle is limited to n <= 30")
     n = problem.n
-    step, slopes, convex, a_worst = _chain(problem)
-    r = np.zeros(n - 1)
-    if n > 1:
-        if not convex:
-            r = _grid_start(problem, step, a_worst)
-        r = _projected_newton(problem, step, slopes, r)
-    dist = np.append(problem.d0, step(r)[:-1])
-    eta = np.ones(n)
-    eta[:-1] = 1.0 - np.divide(r, dist, out=np.zeros_like(r), where=dist > 0.0)
-    schedule = ShiftSchedule(np.clip(eta, 0.0, 1.0))
-    return schedule, evaluate_schedule(problem, schedule).total
+    step, slopes, convex = _chain(problem)
+    starts = [np.ones(n)]
+    if not convex:
+        starts += [np.append(1.0 / np.arange(n, 1, -1), 1.0), np.append(np.full(n - 1, 0.5), 1.0),
+                   np.append(np.zeros(n - 1), 1.0)]
+        if 0.5 <= problem.L <= 2.0:
+            starts.append(three_phase_schedule(n, problem.L).eta)
+    found = []  # (schedule, objective); a solved schedule wins a tie with its start
+    for eta in starts:
+        start = ShiftSchedule(eta)
+        trace = evaluate_schedule(problem, start)
+        # an overflowed start distance leaves no finite kept distance to solve from
+        if n > 1 and math.isfinite(trace.total):
+            r = (1.0 - start.eta[:-1]) * trace.distances[:-1]
+            r = _projected_newton(problem, step, slopes, r)
+            dist = np.append(problem.d0, step(r)[:-1])
+            solved = np.append(1.0 - np.divide(r, dist, out=np.zeros_like(r), where=dist > 0.0), 1.0)
+            schedule = ShiftSchedule(np.clip(solved, 0.0, 1.0))
+            found.append((schedule, evaluate_schedule(problem, schedule).total))
+        found.append((start, trace.total))
+    return min(found, key=lambda item: item[1])

@@ -329,6 +329,15 @@ class TestNonFiniteAndExtremeInput:
             with pytest.raises(ValueError):
                 KernelAssumptions(**kwargs)
 
+    @given(field=st.sampled_from(["w", "sigma"]), bad=NON_FINITE)
+    def test_toy_assumptions_reject_non_finite_pair(self, field, bad):
+        # the same checks as gauss.toy_exact_kl, naming the toy parameter
+        kwargs = {"w": 0.1, "sigma": 1.0, field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            toy_assumptions(**kwargs)
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            gauss.toy_exact_kl(4, **kwargs)
+
     @settings(max_examples=30, deadline=None)
     @given(bad=NON_FINITE, n=st.integers(1, 50))
     def test_bounds_reject_non_finite_initial_distance(self, bad, n):

@@ -89,6 +89,16 @@ class TestBoundCommand:
         assert "modes" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("bad, message", [("toy_w=nan", "error: w must be finite"),
+                                              ("toy_sigma=nan", "error: sigma must be finite")])
+    def test_non_finite_toy_input_names_its_parameter(self, tmp_path, capsys, bad, message):
+        # not a derived constant such as b_bar
+        code, out = run(["bound", "--set", "n=4", "--set", "toy_w=0.1",
+                         "--set", "toy_sigma=1", "--set", bad], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", ["toy_sigma=-1", "toy_w=nan"])
     def test_invalid_toy_pair_is_a_usage_error(self, tmp_path, bad):
         code, out = run(["bound", "--set", "n=4", "--set", "toy_w=0.1",
@@ -107,6 +117,15 @@ class TestShiftsCommand:
         assert lines[0] == "step,eta,distance"
         etas = [float(l.split(",")[1]) for l in lines[1:5]]
         np.testing.assert_allclose(etas, [0.25, 1 / 3, 0.5, 1.0], rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 40, 300])
+    def test_oracle_line_for_every_n(self, tmp_path, capsys, n):
+        code, _ = run(["shifts", "--set", f"n={n}", "--set", "L=0.9", "--set", "a=0.2",
+                       "--set", "d0=2"], tmp_path)
+        assert code == 0
+        oracle = [line for line in capsys.readouterr().out.splitlines() if "dp oracle" in line]
+        assert len(oracle) == 1
+        assert float(oracle[0].split("rel gap")[1].strip(" )")) <= 1e-12
 
     def test_invalid_contraction(self, tmp_path):
         code, _ = run(
@@ -239,6 +258,15 @@ class TestRejectedInput:
                     with pytest.raises(SystemExit) as exc:
                         parser.parse_args(argv)
                     assert exc.value.code == 2, (command, flag)
+
+    def test_unknown_flag_shows_the_subcommand_usage(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["shifts", "--set", "n=8", "--set", "a=0.2", "--set", "d0=2", "--seed", "1"],
+                tmp_path)
+        assert exc.value.code == 2
+        err = " ".join(capsys.readouterr().err.split())  # argparse wraps to the terminal
+        assert err.startswith("usage: klbounds shifts [-h] [--config CONFIG] [--set KEY=VALUE]")
+        assert "klbounds shifts: error: unrecognized arguments: --seed 1" in err
 
     @pytest.mark.parametrize("argv, key", [
         (["bound", "--set", "n=10", "--set", "L=0.9", "--set", "c=1", "--set", "c_prime=1",

@@ -503,6 +503,12 @@ def weak_aware_oracle_draws():
         yield ShiftProblem(n, big_l, d0, WeakAwareError(a0, a1), c=c, c_prime=c_prime, b=b)
 
 
+def fixed_schedules(n, big_l):
+    """All-ones, 1/(n-k), all-1/2 and three-phase schedules of length n."""
+    return (np.ones(n), np.append(1.0 / np.arange(n, 1, -1), 1.0),
+            np.append(np.full(n - 1, 0.5), 1.0), three_phase_schedule(n, big_l).eta)
+
+
 def kkt_residual(problem, schedule):
     """KKT residual of the kept distances r_k = (1 - eta_k) d_k over r >= 0.
 
@@ -563,13 +569,11 @@ class TestDpOracle:
         assert evaluate_schedule(pr, sched).total == pytest.approx(val, rel=1e-12)
 
     def test_weak_aware_beats_fixed_schedules(self):
-        # all-ones, 1/(n-k) and all-0.5 were the old oracle's polish starts;
-        # three-phase is the schedule the certified bound evaluates
+        # four of the schedules the non-convex solve starts from; three-phase
+        # is also the schedule the certified bound evaluates
         for pr in weak_aware_oracle_draws():
-            n = pr.n
             _, val = dp_oracle(pr)
-            for eta in (np.ones(n), np.append(1.0 / np.arange(n, 1, -1), 1.0),
-                        np.append(np.full(n - 1, 0.5), 1.0), three_phase_schedule(n, pr.L).eta):
+            for eta in fixed_schedules(pr.n, pr.L):
                 assert val <= evaluate_schedule(pr, eta).total
 
     def test_convex_solutions_meet_kkt(self):
@@ -582,8 +586,9 @@ class TestDpOracle:
             assert kkt_residual(pr, schedule) <= shifts._KKT_TOL
 
     def test_value_scales_with_problem(self):
-        # scaling d0 and the error levels by s scales the objective by s^2; the
-        # non-convex grid start once floored its distance grid at 1e-12
+        # scaling d0 and the error levels by s scales the objective by s^2, so
+        # nothing in the non-convex solve, its starts included, may depend on
+        # the scale
         for a1 in (1.5, 2.5, 4.0):
             for big_l in (0.7, 1.0, 1.3):
                 _, base = dp_oracle(ShiftProblem(8, big_l, 3.0, WeakAwareError(1.0, a1)))
@@ -591,9 +596,75 @@ class TestDpOracle:
                     _, val = dp_oracle(ShiftProblem(8, big_l, 3.0 * s, WeakAwareError(s, a1 * s)))
                     assert val / (s * s) == pytest.approx(base, rel=1e-12)
 
-    def test_scale_limits(self):
-        with pytest.raises(ValueError, match="oracle-scale"):
-            dp_oracle(ShiftProblem(31, 1.0, 1.0, SimpleError(1.0)))
+    def test_runs_at_n_1000(self):
+        # no size cap: non-convex (a1 > L a0) is never above a start, convex
+        # stops on the KKT residual
+        for big_l in (0.9, 1.3):
+            pr = ShiftProblem(1000, big_l, 3.0, WeakAwareError(0.5, 1.5), c=0.7, c_prime=2.0)
+            _, val = dp_oracle(pr)
+            for eta in fixed_schedules(1000, big_l):
+                assert val <= evaluate_schedule(pr, eta).total
+        for pr in (ShiftProblem(1000, 0.9, 3.0, WeakAwareError(0.5, 0.3), c=1.0, c_prime=2.0),
+                   ShiftProblem(1000, 1.0, 3.0, SimpleError(0.5))):
+            schedule, _ = dp_oracle(pr)
+            assert kkt_residual(pr, schedule) <= shifts._KKT_TOL
+
+    def test_not_above_brute_force_grid(self):
+        # n = 2 and 3, non-convex: every free shift on a grid of 401 and 101
+        # points, one in eight draws with a0 = 0; the oracle is compared with
+        # the exact objective of the grid's best schedule
+        rng = np.random.default_rng(23)
+        for n, points in ((2, 401), (3, 101)):
+            axis = np.linspace(0.0, 1.0, points)
+            grid = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"), -1).reshape(-1, n - 1)
+            for i in range(100):
+                big_l = float(rng.uniform(0.5, 2.0))
+                a0 = 0.0 if i % 8 == 0 else float(rng.uniform(0.05, 3.0))
+                a1 = float(rng.uniform(1.0, 5.0)) * big_l * a0 if a0 else float(rng.uniform(0.05, 3.0))
+                d0, c, cp, b = (float(v) for v in rng.uniform([0.0, 0.1, 0.1, 0.0], [5.0, 3.0, 3.0, 1.0]))
+                d, main = np.full(len(grid), d0), 0.0
+                for k in range(n - 1):
+                    main = main + (grid[:, k] * d) ** 2
+                    rest = 1.0 - grid[:, k]
+                    d = np.sqrt((big_l * rest * d) ** 2 + 2.0 * a1 * rest * d + a0 * a0)
+                best = grid[np.argmin(c * main + cp * d * d)]
+                pr = ShiftProblem(n, big_l, d0, WeakAwareError(a0, a1), c=c, c_prime=cp, b=b)
+                _, val = dp_oracle(pr)
+                assert val <= evaluate_schedule(pr, np.append(best, 1.0)).total, (n, i)
+
+    @pytest.mark.parametrize("n, big_l, d0, a0, a1, c, c_prime, b, grid_value", [
+        pytest.param(8, 0.8391746331470786, 4.922540702200966, 0.0, 1.6985899542958265,
+                     0.9421583452117116, 0.7721364982851356, 0.8958835412233879,
+                     16.205494951096217, id="a0=0-n8"),
+        pytest.param(23, 0.6956974830632019, 0.8688544206606091, 0.0, 0.6402774632436791,
+                     0.8470994019869007, 2.7906899551714974, 0.8085997833169112,
+                     1.2634945104243624, id="a0=0-n23"),
+        pytest.param(13, 1.0622748925165477, 3.5765898976228434, 0.0, 0.3433910076156803,
+                     1.8061565929439007, 1.3764187097281924, 0.33845129877821023,
+                     8.930511969972793, id="a0=0-n13"),
+        pytest.param(13, 0.9441112398159913, 8.480393314863267, 2.60880880291073,
+                     45.49473817952694, 18.870951549632387, 1.211675312974638, 0.0,
+                     2778.158527679806, id="needs-all-ones"),
+        pytest.param(28, 0.9524679775828113, 1.440296447804048, 1.0053253284847379,
+                     4.490579195793559, 5.965634630968525, 0.2489835045690733, 0.0,
+                     165.03794375942928, id="needs-all-half"),
+        pytest.param(17, 0.7572941426343633, 0.12576252035557678, 2.1351205708698173,
+                     19.009924643403004, 11.723499950385861, 0.08572810569347317, 0.0,
+                     620.4907003333847, id="needs-all-zeros"),
+        pytest.param(15, 1.391080823581561, 13.815515424133988, 2.2255275992311696,
+                     13.901642303983188, 3.2670286240565587, 0.05152316016645896, 0.0,
+                     817.9968169696197, id="needs-three-phase"),
+    ])
+    def test_not_above_former_grid_start(self, n, big_l, d0, a0, a1, c, c_prime, b,
+                                         grid_value):
+        # grid_value is what the former non-convex oracle (a 256 x 128 value
+        # iteration, then projected Newton) reached.  Each needs-* case ends
+        # higher without the start it names.  At a0 = 0 < a1 the next distance
+        # is 0 at r_k = 0, where s' is infinite and the gradient needs the
+        # one-sided limit of s s'
+        pr = ShiftProblem(n, big_l, d0, WeakAwareError(a0, a1), c=c, c_prime=c_prime, b=b)
+        _, val = dp_oracle(pr)
+        assert val <= grid_value * (1.0 + 1e-12)
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,10 +6,11 @@ exception it raised), then the sha256 of the CSV, of the captured stdout
 and of the captured stderr, with the temporary path masked ("-" where no
 CSV was written).  The list covers every subcommand: ``sample`` for all
 three schemes, ``local-errors``, ``bound`` for the toy pair and for
-explicit constants, ``shifts``, ``plan`` and all five ``verify`` suites,
-plus the overflow and NaN-step inputs that must fail cleanly, a misspelt
-config key and a flag the subcommand does not take.  A rejection by the
-argument parser (``SystemExit``) is recorded as its exit code.
+explicit constants, ``shifts`` (with the oracle line at n = 8 and 40),
+``plan`` and all five ``verify`` suites, plus the overflow, NaN-step and
+NaN toy inputs that must fail cleanly, a misspelt config key and a flag the
+subcommand does not take.  A rejection by the argument parser
+(``SystemExit``) is recorded as its exit code.
 
 It imports klbounds from the ``src/`` next to it, so running the same file
 in two checkouts and diffing the outputs shows which outputs a change
@@ -65,6 +66,8 @@ COMMANDS = [
     ("bound-unknown-key", ["bound", *_sets(
         "n=10", "L=0.9", "c=1", "c_prime=1", "e_strog=0.1")]),
     ("shifts-seed-flag", ["shifts", *_sets("n=8", "L=0.9", "a=0.2", "d0=2"), "--seed", "1"]),
+    ("shifts-n40", ["shifts", *_sets("n=40", "L=0.9", "a=0.2", "d0=2")]),
+    ("bound-toy-nan", ["bound", *_sets("n=4", "toy_w=0.1", "toy_sigma=nan")]),
 ]
 
 
