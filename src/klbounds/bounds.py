@@ -22,7 +22,7 @@ overflow is also reported as inf, which is still a valid upper bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import gauss, shifts
 
@@ -32,7 +32,6 @@ __all__ = [
     "w2_framework_bound",
     "kl_simple_bound",
     "kl_framework_bound",
-    "last_step_substitution",
     "toy_assumptions",
     "n_bar",
 ]
@@ -198,18 +197,6 @@ def kl_framework_bound(
             trace.total + _pow(k.b_bar, 2), "certified", 1.0, schedule=schedule, trace=trace
         )
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def last_step_substitution(k: KernelAssumptions, c_prime: float, b_bar: float) -> KernelAssumptions:
-    """Replace the final-step kernel's cross-regularity constants.
-
-    Running N-1 steps of the original kernel followed by one step of a
-    kernel with cross-regularity (c_prime, b_bar) keeps every bound valid
-    with the substituted constants, since they enter the final term only.
-    """
-    if c_prime < 0.0 or b_bar < 0.0:
-        raise ValueError("constants must be >= 0")
-    return replace(k, c_prime=c_prime, b_bar=b_bar)
 
 
 def toy_assumptions(w: float, sigma: float) -> KernelAssumptions:

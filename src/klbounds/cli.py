@@ -230,7 +230,6 @@ def cmd_plan(cfg: Config, constant: float):
         zeta0=_get(cfg, "zeta0", float, default=0.0),
         zeta1=_get(cfg, "zeta1", float, default=0.0),
         w2_init=_get(cfg, "W", float, default=None),
-        chi2_init=_get(cfg, "chi2_init", float, default=None),
     )
     rows = []
     summary = ["| scheme | setting | h | N | N(2d)/N(d) | N(eps/2)/N(eps) | initialization |",

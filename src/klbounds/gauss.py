@@ -2,7 +2,7 @@
 
 Everything here is closed form, so this module doubles as the ground-truth
 oracle for the bound evaluators: KL, 2-Wasserstein and Renyi divergences
-between N(mu, Sigma) laws, affine pushforwards, convolutions, and the exact
+between N(mu, Sigma) laws, affine pushforwards, and the exact
 formulas for the 1D random-walk toy pair
 
     P:    x -> x + N(0, 1)
@@ -25,7 +25,6 @@ __all__ = [
     "w2_gaussian",
     "renyi_gaussian",
     "affine_pushforward",
-    "convolve",
     "toy_exact_kl",
     "toy_exact_w2",
     "toy_laws",
@@ -224,12 +223,6 @@ def affine_pushforward(g: Gaussian, mat, vec) -> Gaussian:
     if a.shape != (d, d) or b.shape != (d,):
         raise ValueError(f"affine map shapes {a.shape}, {b.shape} do not match dimension {d}")
     return Gaussian(a @ g.mean + b, a @ g.cov @ a.T)
-
-
-def convolve(g1: Gaussian, g2: Gaussian) -> Gaussian:
-    """Law of X1 + X2 for independent Xi ~ gi: means and covariances add."""
-    _check_dims(g1, g2)
-    return Gaussian(g1.mean + g2.mean, g1.cov + g2.cov)
 
 
 def _sqrt1p_minus_one(x: float) -> float:

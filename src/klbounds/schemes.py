@@ -22,7 +22,6 @@ __all__ = [
     "rmlmc_local_errors",
     "rmlmc_cross_reg",
     "gradient_bound",
-    "recursive_gradient_control",
     "PlanParams",
     "PlanResult",
     "plan_iterations",
@@ -157,36 +156,6 @@ def gradient_bound(
     return constant * (beta * d + correction)
 
 
-def recursive_gradient_control(
-    a2: float, b2: float, c2: float, d2: float, n0: float, beta: float, d: int,
-    horizon: int,
-) -> float:
-    """Fixed-point bound on G_N^2 = max_{k<N} E |grad V|^2 along the chain.
-
-    Phase 1 (W2 feedback, n <= n0):  G^2 <= 2 (beta d + B^2 beta^2),
-    requiring A beta <= 1/2 so the feedback absorbs; phase 2 (KL feedback,
-    n >= n0): G^2 <= 2 (G_{n0}^2 + beta d + D^2 beta), requiring
-    C^2 beta <= 1/2.  Returns the bound at the horizon.
-    """
-    if min(a2, b2, c2, d2) < 0.0 or beta < 0.0:
-        raise ValueError("inputs must be >= 0")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    use_phase1 = n0 > 0
-    use_phase2 = horizon > n0
-    if use_phase1 and math.sqrt(a2) * beta > 0.5:
-        raise ValueError(
-            f"absorption fails: A * beta = {math.sqrt(a2) * beta:g} exceeds 1/2"
-        )
-    if use_phase2 and c2 * beta > 0.5:
-        raise ValueError(f"absorption fails: C^2 * beta = {c2 * beta:g} exceeds 1/2")
-    g2_phase1 = 2.0 * (beta * d + b2 * beta**2)
-    if not use_phase2:
-        return g2_phase1
-    g2_n0 = g2_phase1 if use_phase1 else 0.0
-    return 2.0 * (g2_n0 + beta * d + d2 * beta)
-
-
 # ---------------------------------------------------------------------------
 # Iteration-complexity planner
 # ---------------------------------------------------------------------------
@@ -201,7 +170,6 @@ class PlanParams:
     zeta0: float = 0.0
     zeta1: float = 0.0
     w2_init: Optional[float] = None  # W = W2(mu0, pi), required by WLC cells
-    chi2_init: Optional[float] = None  # recorded only; LSI needs log chi2 = O~(d)
 
 
 @dataclass(frozen=True)

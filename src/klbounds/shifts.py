@@ -17,7 +17,7 @@ L = 1 and L in (0,1)), the feasible three-phase schedule used for the
 WeakAware recursion on 1/2 <= L <= 2, and an independent oracle:
 projected Newton in r = (1 - eta) d, with an O(N) tridiagonal solve per
 iteration, started from the all-ones schedule where the objective is convex
-in r and from five fixed schedules (all-ones, 1/(N-k), all-1/2, all-zeros,
+in r and from four fixed schedules (all-ones, all-1/2, all-zeros,
 three-phase) where it is not.
 
 Index convention: all closed forms are stated for N shifts with
@@ -42,7 +42,6 @@ __all__ = [
     "evaluate_schedule",
     "optimal_value_L1",
     "optimal_shifts_L1",
-    "single_step_opt",
     "optimal_value_Lgeneral",
     "optimal_shifts_Lgeneral",
     "final_bound_with_cross_reg",
@@ -253,26 +252,6 @@ def optimal_shifts_L1(n: int, a: float, d0: float) -> tuple[ShiftSchedule, np.nd
             eta[k] = min(1.0, num / denom)
         d[k + 1] = (1.0 - eta[k]) * d[k] + a
     return ShiftSchedule(eta), d
-
-
-def single_step_opt(d: float, a: float, m: int) -> tuple[float, float]:
-    """One-step shift optimization with m remaining steps.
-
-    Solves min_{eta in [0,1]} eta^2 d^2 + ((1-eta) d + m a)^2 / m:
-    eta = min(1, (d + m a) / ((m+1) d)), value (d + m a)^2 / (m+1) for
-    d >= a, else d^2 + m a^2.  d = 0 uses the limit convention eta = 1.
-    """
-    if d < 0.0 or a < 0.0:
-        raise ValueError("d, a must be >= 0")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if d == 0.0:
-        return 1.0, m * a * a
-    eta = min(1.0, (d + m * a) / ((m + 1) * d))
-    if d >= a:
-        s = d + m * a
-        return eta, s * s / (m + 1)
-    return eta, d * d + m * a * a
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +524,12 @@ def dp_oracle(problem: ShiftProblem) -> tuple[ShiftSchedule, float]:
     chain over the box r >= 0 with a tridiagonal Hessian.  It is convex for
     Simple errors and for WeakAware errors with a1 <= L a0; there one solve
     from r = 0 (the all-ones schedule) reaches the optimum.  For a1 > L a0
-    the solve runs from the kept distances of five schedules, all-ones,
-    1/(N-k), all-1/2, all-zeros (no shift before the last) and, for
-    1/2 <= L <= 2, three-phase, to a local minimum each.  Each projected
-    Newton iteration costs O(N): it stops once every shift's first-order
-    gain is at most 1e-12 of the objective (the KKT conditions), or when the
-    line search finds no decrease above rounding.  The returned pair is the
+    the solve runs from the kept distances of four schedules, all-ones,
+    all-1/2, all-zeros (no shift before the last) and, for 1/2 <= L <= 2,
+    three-phase, to a local minimum each.  Each projected Newton iteration
+    costs O(N): it stops once every shift's first-order gain is at most
+    1e-12 of the objective (the KKT conditions), or when the line search
+    finds no decrease above rounding.  The returned pair is the
     best of the solved schedules and the starts themselves, with its exact
     objective: an upper bound on the true optimum and never above any
     start's objective, though for a1 > L a0 not always the global one.  On
@@ -561,8 +540,7 @@ def dp_oracle(problem: ShiftProblem) -> tuple[ShiftSchedule, float]:
     step, slopes, convex = _chain(problem)
     starts = [np.ones(n)]
     if not convex:
-        starts += [np.append(1.0 / np.arange(n, 1, -1), 1.0), np.append(np.full(n - 1, 0.5), 1.0),
-                   np.append(np.zeros(n - 1), 1.0)]
+        starts += [np.append(np.full(n - 1, 0.5), 1.0), np.append(np.zeros(n - 1), 1.0)]
         if 0.5 <= problem.L <= 2.0:
             starts.append(three_phase_schedule(n, problem.L).eta)
     found = []  # (schedule, objective); a solved schedule wins a tie with its start

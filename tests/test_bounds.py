@@ -15,7 +15,6 @@ from klbounds.bounds import (
     KernelAssumptions,
     kl_framework_bound,
     kl_simple_bound,
-    last_step_substitution,
     n_bar,
     toy_assumptions,
     w2_framework_bound,
@@ -180,32 +179,6 @@ class TestKlFramework:
         v1 = kl_framework_bound(k, 50, 0.0, "closed_form").value
         v2 = kl_framework_bound(k, 100, 0.0, "closed_form").value
         assert v2 < 4.0 * v1  # Theta(N) growth, not exponential
-
-
-class TestLastStepSubstitution:
-    def test_identity_override(self):
-        k = KernelAssumptions(L=1.0, c=1.0, c_prime=2.0, b_bar=0.3, a=0.5)
-        same = last_step_substitution(k, c_prime=2.0, b_bar=0.3)
-        assert kl_simple_bound(same, 5, 1.0).value == kl_simple_bound(k, 5, 1.0).value
-
-    def test_final_term_vanishes(self):
-        k = KernelAssumptions(L=1.0, c=1.0, c_prime=5.0, b_bar=2.0, a=0.0)
-        swapped = last_step_substitution(k, c_prime=0.0, b_bar=0.0)
-        n = 6
-        val = kl_simple_bound(swapped, n, 1.0).value
-        assert val == pytest.approx((n - 1) / n**2, rel=1e-12)  # c' and b terms gone
-
-    def test_rmlmc_body_with_lmc_last_step(self):
-        from klbounds.schemes import lmc_cross_reg, rmlmc_cross_reg
-
-        h = 0.05
-        cp_rm, b_rm = rmlmc_cross_reg(1.0, 4, h, 1.0)
-        cp_lmc, b_lmc = lmc_cross_reg(1.0, 4, h, 1.0)
-        k = KernelAssumptions(L=1.0, c=1.0 / (4 * h), c_prime=cp_rm, b_bar=b_rm, a=0.01)
-        swapped = last_step_substitution(k, c_prime=cp_lmc, b_bar=b_lmc)
-        assert swapped.c_prime == pytest.approx(cp_rm / math.log(1.0 / h))
-        assert swapped.b_bar == b_lmc == b_rm
-        assert kl_simple_bound(swapped, 10, 1.0).value < kl_simple_bound(k, 10, 1.0).value
 
 
 class TestNBar:

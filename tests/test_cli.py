@@ -276,6 +276,8 @@ class TestRejectedInput:
         (["shifts", "--set", "n=4", "--set", "a=0", "--set", "d0=1", "--set", "dp=0"], "dp"),
         (["local-errors", "--set", "h=0.1", "--set", "samples=10"], "samples"),
         (["local-errors", "--set", "h_grid=0.2,0.1", "--set", "h=0.1"], "h"),
+        (["plan", "--set", "alpha=1", "--set", "beta=2", "--set", "d=4", "--set", "eps=0.5",
+          "--set", "W=3", "--set", "chi2_init=5"], "chi2_init"),
     ])
     def test_unread_config_key_exits_2(self, tmp_path, capsys, argv, key):
         code, out = run(argv, tmp_path)

@@ -12,7 +12,6 @@ from scipy.integrate import quad
 from klbounds.gauss import (
     Gaussian,
     affine_pushforward,
-    convolve,
     kl_gaussian,
     renyi_gaussian,
     toy_exact_kl,
@@ -178,18 +177,6 @@ class TestAffineAndConvolve:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             affine_pushforward(Gaussian(0.0, 1.0), np.eye(2), np.zeros(2))
-
-    def test_convolve_adds_moments(self):
-        out = convolve(Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))
-        assert (out.mean[0], out.cov[0, 0]) == (0.0, 2.0)
-        out = convolve(Gaussian(1.0, 1.0), Gaussian(0.1, 1.0))
-        assert out.mean[0] == pytest.approx(1.1)
-        assert out.cov[0, 0] == pytest.approx(2.0)
-
-    def test_convolve_with_point_mass_translates(self):
-        out = convolve(Gaussian([1.0], [[2.0]]), Gaussian([3.0], [[0.0]]))
-        assert out.mean[0] == pytest.approx(4.0)
-        assert out.cov[0, 0] == pytest.approx(2.0)
 
 
 class TestToyFormulas:

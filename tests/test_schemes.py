@@ -18,7 +18,6 @@ from klbounds.schemes import (
     lmc_local_errors,
     lmc_smooth_weak_error,
     plan_iterations,
-    recursive_gradient_control,
     rmlmc_cross_reg,
     rmlmc_local_errors,
 )
@@ -166,29 +165,6 @@ class TestGradientBounds:
         assert gradient_bound(beta, 1, w2, crossing + 0.1) == pytest.approx(
             beta * 1 + beta**2 * w2**2
         )
-
-    def test_recursive_control_phases(self):
-        assert recursive_gradient_control(0.0, 0.0, 0.0, 0.0, math.inf, 1.0, 3, 10) == 6.0
-        assert recursive_gradient_control(0.01, 4.0, 0.0, 0.0, math.inf, 1.0, 1, 10) == (
-            2.0 * (1.0 + 4.0)  # 2 (beta d + B^2 beta^2)
-        )
-        with pytest.raises(ValueError, match="absorption"):
-            recursive_gradient_control(4.0, 0.0, 0.0, 0.0, math.inf, 1.0, 1, 10)
-        with pytest.raises(ValueError, match="absorption"):
-            recursive_gradient_control(0.0, 0.0, 2.0, 0.0, 0, 1.0, 1, 10)
-
-    def test_exact_law_never_exceeds_bound(self):
-        # alpha = beta = 1, h = 0.01, Dirac start at the mode radius sqrt(d/alpha)
-        pot = chains.PotentialSpec.quadratic_potential(1.0)
-        h = 0.01
-        bound = recursive_gradient_control(
-            a2=h**2, b2=1.0, c2=0.0, d2=0.0, n0=math.inf, beta=1.0, d=1, horizon=1000
-        )
-        law = gauss.Gaussian(1.0, 0.0)
-        for n in range(1000):
-            law = chains.propagate_law(pot, law, "LMC", h, 1)
-            second_moment = law.mean[0] ** 2 + law.cov[0, 0]
-            assert second_moment <= bound
 
 
 class TestSchemeCoefficients:

@@ -28,7 +28,6 @@ from klbounds.shifts import (
     optimal_value_L1,
     optimal_value_Lgeneral,
     propagate_distances,
-    single_step_opt,
     three_phase_schedule,
 )
 from klbounds.verify import exact_quadratic_assumptions
@@ -88,14 +87,6 @@ def certified_by_loop(k, n, w2_init):
     return main + final + k.b_bar**2
 
 
-def grid_min_single_step(d, a, m, points=400_001):
-    """Dense-grid oracle for min_eta eta^2 d^2 + ((1-eta) d + m a)^2 / m."""
-    eta = np.linspace(0.0, 1.0, points)
-    vals = eta**2 * d**2 + ((1.0 - eta) * d + m * a) ** 2 / m
-    j = int(np.argmin(vals))
-    return float(eta[j]), float(vals[j])
-
-
 def grid_min_two_step(n2_l, a, d0, c=1.0, c_prime=1.0, points=400_001):
     """Dense-grid oracle for the 2-shift problem (single free shift)."""
     eta = np.linspace(0.0, 1.0, points)
@@ -148,28 +139,6 @@ class TestEvaluateSchedule:
         pr = ShiftProblem(4, 1.0, 1.0, SimpleError(0.5), c=2.0, c_prime=3.0, b=0.7)
         tr = evaluate_schedule(pr, ShiftSchedule(np.array([0.1, 0.2, 0.3, 1.0])))
         assert tr.total == tr.main_term + tr.final_term
-
-
-class TestSingleStep:
-    def test_against_grid_oracle(self):
-        for d, a, m in [(2.0, 1.0, 1), (1.0, 0.0, 3), (0.5, 2.0, 4), (3.0, 0.7, 6)]:
-            eta, val = single_step_opt(d, a, m)
-            eta_g, val_g = grid_min_single_step(d, a, m)
-            assert val == pytest.approx(val_g, rel=1e-9)
-            assert eta == pytest.approx(eta_g, abs=1e-5)
-
-    def test_golden_values(self):
-        assert single_step_opt(2.0, 1.0, 1) == pytest.approx((0.75, 4.5))
-        assert single_step_opt(1.0, 0.0, 3) == pytest.approx((0.25, 0.25))
-
-    def test_branch_boundary_agrees(self):
-        d = a = 1.3
-        eta, val = single_step_opt(d, a, 4)
-        assert eta == pytest.approx(1.0)
-        assert val == pytest.approx(d * d + 4 * a * a)
-
-    def test_zero_distance_convention(self):
-        assert single_step_opt(0.0, 2.0, 3) == (1.0, 12.0)
 
 
 class TestL1ClosedForms:

@@ -42,3 +42,18 @@ def test_exact_quadratic_assumptions_match_loop(lam, h, n, x0):
 def test_exact_quadratic_assumptions_need_a_step():
     with pytest.raises(ValueError, match="n"):
         verify.exact_quadratic_assumptions(1.0, 0.1, 0, 1.0)
+
+
+# formula and bound rows that check a library result against exact ground truth
+@pytest.mark.parametrize("suite, prefix, count", [
+    ("toy", "toy_w2_", 900),
+    ("toy", "toy_laws_kl_spot_n4", 1),
+    ("gaussian-lmc", "lmc_cross_reg_", 9),
+    ("local-errors", "lmc_smooth_weak_formula_", 9),
+    ("local-errors", "rmlmc_weak_formula_", 9),
+    ("local-errors", "rmlmc_strong_formula_", 9),
+])
+def test_formula_rows_present_and_passing(suite, prefix, count):
+    rows = [r for r in verify.run_suite(suite) if r.check.startswith(prefix)]
+    assert len(rows) == count
+    assert all(r.passed for r in rows)

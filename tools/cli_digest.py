@@ -8,8 +8,9 @@ CSV was written).  The list covers every subcommand: ``sample`` for all
 three schemes, ``local-errors``, ``bound`` for the toy pair and for
 explicit constants, ``shifts`` (with the oracle line at n = 8 and 40),
 ``plan`` and all five ``verify`` suites, plus the overflow, NaN-step and
-NaN toy inputs that must fail cleanly, a misspelt config key and a flag the
-subcommand does not take.  A rejection by the argument parser
+NaN toy inputs that must fail cleanly, a misspelt config key, a key
+``plan`` does not read (``chi2_init``) and a flag the subcommand does not
+take.  A rejection by the argument parser
 (``SystemExit``) is recorded as its exit code.
 
 It imports klbounds from the ``src/`` next to it, so running the same file
@@ -68,6 +69,7 @@ COMMANDS = [
     ("shifts-seed-flag", ["shifts", *_sets("n=8", "L=0.9", "a=0.2", "d0=2"), "--seed", "1"]),
     ("shifts-n40", ["shifts", *_sets("n=40", "L=0.9", "a=0.2", "d0=2")]),
     ("bound-toy-nan", ["bound", *_sets("n=4", "toy_w=0.1", "toy_sigma=nan")]),
+    ("plan-chi2-init", ["plan", *_sets("alpha=1", "beta=2", "d=4", "eps=0.5", "W=3", "chi2_init=5")]),
 ]
 
 
