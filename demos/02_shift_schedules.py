@@ -20,7 +20,7 @@ from klbounds import shifts
 print("=== unit contraction (L = 1) ===")
 for n, a, d0 in [(2, 1.0, 2.0), (6, 0.5, 3.0), (10, 0.0, 1.0)]:
     closed = shifts.optimal_value_L1(n, a, d0)
-    schedule, trace = shifts.optimal_shifts_L1(n, a, d0)
+    schedule = shifts.optimal_shifts_L1(n, a, d0)
     problem = shifts.ShiftProblem(n, 1.0, d0, shifts.SimpleError(a))
     evaluated = shifts.evaluate_schedule(problem, schedule).total
     _, dp_value = shifts.dp_oracle(problem)
@@ -45,7 +45,7 @@ for big_l, c, c_prime in [(1.0, 1.0, 2.0), (0.5, 1.0, 2.0), (0.9, 2.0, 0.5)]:
     n, a, d0, b = 5, 0.3, 2.0, 0.1
     closed = shifts.final_bound_with_cross_reg(n, a, d0, big_l, c, c_prime, b)
     if big_l == 1.0:
-        schedule, _ = shifts.optimal_shifts_L1(n, a, d0)
+        schedule = shifts.optimal_shifts_L1(n, a, d0)
     else:
         schedule = shifts.optimal_shifts_Lgeneral(n, a, d0, big_l)
     problem = shifts.ShiftProblem(n, big_l, d0, shifts.SimpleError(a),

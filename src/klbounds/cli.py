@@ -197,7 +197,7 @@ def cmd_shifts(cfg: Config):
     try:
         if big_l == 1.0:
             closed = shifts.optimal_value_L1(n, a, d0)
-            schedule, _ = shifts.optimal_shifts_L1(n, a, d0)
+            schedule = shifts.optimal_shifts_L1(n, a, d0)
         else:
             closed = shifts.optimal_value_Lgeneral(n, a, d0, big_l)
             schedule = shifts.optimal_shifts_Lgeneral(n, a, d0, big_l)
@@ -222,15 +222,19 @@ def cmd_plan(cfg: Config, constant: float):
     schemes_req = _get(cfg, "scheme", default=",".join(schemes.PLAN_SCHEMES)).split(",")
     settings_req = _get(cfg, "setting", default=",".join(schemes.SETTINGS)).split(",")
     cells = [(sc.strip(), st.strip()) for sc in schemes_req for st in settings_req]
-    params = schemes.PlanParams(
+    values = dict(
         alpha=_get(cfg, "alpha", float, required=True),
         beta=_get(cfg, "beta", float, required=True),
         d=_get(cfg, "d", int, required=True),
         eps=_get(cfg, "eps", float, required=True),
-        zeta0=_get(cfg, "zeta0", float, default=0.0),
-        zeta1=_get(cfg, "zeta1", float, default=0.0),
-        w2_init=_get(cfg, "W", float, default=None),
     )
+    # zeta0, zeta1 and W are read only when a requested cell uses them
+    if any(sc == "LMC_SMOOTH" for sc, _ in cells):
+        values.update(zeta0=_get(cfg, "zeta0", float, default=0.0),
+                      zeta1=_get(cfg, "zeta1", float, default=0.0))
+    if any(st == "WLC" for _, st in cells):
+        values["w2_init"] = _get(cfg, "W", float, default=None)
+    params = schemes.PlanParams(**values)
     rows = []
     summary = ["| scheme | setting | h | N | N(2d)/N(d) | N(eps/2)/N(eps) | initialization |",
                "|---|---|---|---|---|---|---|"]

@@ -258,8 +258,8 @@ def toy_exact_w2(n: int, w: float, sigma: float) -> float:
     return math.sqrt(n * n * w * w + n * gap * gap)
 
 
-def toy_laws(n: int, w: float, sigma: float, x0: float = 0.0) -> tuple[Gaussian, Gaussian]:
-    """N-step laws (delta_x0 Phat^n, delta_x0 P^n) of the toy kernels."""
-    hat = Gaussian(np.array([x0 + n * w]), np.array([[n * (1.0 + sigma * sigma)]]))
-    ref = Gaussian(np.array([x0]), np.array([[float(n)]]))
+def toy_laws(n: int, w: float, sigma: float) -> tuple[Gaussian, Gaussian]:
+    """N-step laws (delta_0 Phat^n, delta_0 P^n) of the toy kernels."""
+    hat = Gaussian(np.array([n * w]), np.array([[n * (1.0 + sigma * sigma)]]))
+    ref = Gaussian(np.array([0.0]), np.array([[float(n)]]))
     return hat, ref

@@ -1,11 +1,13 @@
 """Per-scheme coefficient formulas and the iteration-complexity planner.
 
-The diffusion-side constants (contraction, coupling, regularity) are exact;
-every discretization-side level carries the analyses' unspecified
-multiplicative factor, surfaced as an explicit user constant (default 1).
-The planner transcribes the step-size / iteration-count prescriptions for
-the nine (scheme, setting) cells; it is an arithmetic transcription, not a
-claim that constant 1 yields valid end-to-end guarantees.
+The diffusion-side constants (contraction, coupling, regularity) are exact.
+Every discretization-side level is the analyses' order-level formula taken
+at constant 1, with no factor to set; the `verify` suites check the ones
+that dominate the exact errors.  The planner transcribes the step-size /
+iteration-count prescriptions for the nine (scheme, setting) cells, with
+the analyses' unspecified multiplicative factor surfaced as an explicit
+user constant (default 1); it is an arithmetic transcription, not a claim
+that constant 1 yields valid end-to-end guarantees.
 """
 
 from __future__ import annotations
@@ -71,65 +73,55 @@ def _require_step(h: float, beta: float):
         raise ValueError("requires h <= 1/beta")
 
 
-def lmc_local_errors(
-    beta: float, d: int, h: float, grad_norm: float, constant: float = 1.0
-) -> tuple[float, float]:
+def lmc_local_errors(beta: float, d: int, h: float, grad_norm: float) -> tuple[float, float]:
     """LMC local error levels for h <= 1/beta.
 
-    e_strong = constant * (beta h^2 |grad V(x)| + beta sqrt(d) h^{3/2});
-    the weak level uses the trivial bound e_weak = e_strong.
+    e_strong = beta h^2 |grad V(x)| + beta sqrt(d) h^{3/2}; the weak level
+    uses the trivial bound e_weak = e_strong.
     """
     _require_step(h, beta)
-    e_strong = constant * (beta * h * h * grad_norm + beta * math.sqrt(d) * h**1.5)
+    e_strong = beta * h * h * grad_norm + beta * math.sqrt(d) * h**1.5
     return e_strong, e_strong
 
 
-def lmc_cross_reg(
-    beta: float, d: int, h: float, grad_norm: float, constant: float = 1.0
-) -> tuple[float, float]:
-    """LMC cross-regularity: c' = constant / h and
-    b = sqrt(constant * (beta^2 h^3 grad^2 + beta^2 d h^2))."""
+def lmc_cross_reg(beta: float, d: int, h: float, grad_norm: float) -> tuple[float, float]:
+    """LMC cross-regularity: c' = 1 / h and b = sqrt(beta^2 h^3 grad^2 + beta^2 d h^2)."""
     _require_step(h, beta)
-    c_prime = constant / h
-    b2 = constant * (beta**2 * h**3 * grad_norm**2 + beta**2 * d * h**2)
+    c_prime = 1.0 / h
+    b2 = beta**2 * h**3 * grad_norm**2 + beta**2 * d * h**2
     return c_prime, math.sqrt(b2)
 
 
 def lmc_smooth_weak_error(
-    beta: float, zeta0: float, zeta1: float, d: int, h: float,
-    grad_norm: float, constant: float = 1.0,
+    beta: float, zeta0: float, zeta1: float, d: int, h: float, grad_norm: float
 ) -> float:
     """Improved LMC weak error under |grad Laplacian V| <= zeta0 + zeta1 |grad V|:
-    constant * ((beta+zeta1) h^2 grad + (beta+zeta1) beta sqrt(d) h^{5/2} + zeta0 h^2)."""
+    (beta+zeta1) h^2 grad + (beta+zeta1) beta sqrt(d) h^{5/2} + zeta0 h^2."""
     _require_step(h, beta)
-    return constant * (
+    return (
         (beta + zeta1) * h * h * grad_norm
         + (beta + zeta1) * beta * math.sqrt(d) * h**2.5
         + zeta0 * h * h
     )
 
 
-def rmlmc_local_errors(
-    beta: float, d: int, h: float, grad_norm: float, constant: float = 1.0
-) -> tuple[float, float]:
+def rmlmc_local_errors(beta: float, d: int, h: float, grad_norm: float) -> tuple[float, float]:
     """RM-LMC local errors: the weak level gains a factor of h over LMC.
 
-    e_weak = constant * (beta^2 h^3 grad + beta^2 sqrt(d) h^{5/2});
-    e_strong = constant * (beta h^2 grad + beta sqrt(d) h^{3/2}).
+    e_weak = beta^2 h^3 grad + beta^2 sqrt(d) h^{5/2};
+    e_strong = beta h^2 grad + beta sqrt(d) h^{3/2}.
     """
     _require_step(h, beta)
-    e_weak = constant * (beta**2 * h**3 * grad_norm + beta**2 * math.sqrt(d) * h**2.5)
-    e_strong = constant * (beta * h * h * grad_norm + beta * math.sqrt(d) * h**1.5)
+    e_weak = beta**2 * h**3 * grad_norm + beta**2 * math.sqrt(d) * h**2.5
+    e_strong = beta * h * h * grad_norm + beta * math.sqrt(d) * h**1.5
     return e_weak, e_strong
 
 
-def rmlmc_cross_reg(
-    beta: float, d: int, h: float, grad_norm: float, constant: float = 1.0
-) -> tuple[float, float]:
+def rmlmc_cross_reg(beta: float, d: int, h: float, grad_norm: float) -> tuple[float, float]:
     """RM-LMC cross-regularity for h < 1/beta strictly.
 
-    c' = constant * log(1/(beta h)) / h -- a log(1/(beta h)) inflation of
-    the LMC value -- while b keeps the LMC expression.
+    c' = log(1/(beta h)) / h -- a log(1/(beta h)) inflation of the LMC
+    value -- while b keeps the LMC expression.
     """
     if beta <= 0.0:
         raise ValueError("beta must be > 0")
@@ -138,22 +130,21 @@ def rmlmc_cross_reg(
         raise ValueError("h must be > 0")
     if h >= 1.0 / beta:
         raise ValueError("requires h < 1/beta")
-    c_prime = constant * math.log(1.0 / (beta * h)) / h
-    b2 = constant * (beta**2 * h**3 * grad_norm**2 + beta**2 * d * h**2)
+    c_prime = math.log(1.0 / (beta * h)) / h
+    b2 = beta**2 * h**3 * grad_norm**2 + beta**2 * d * h**2
     return c_prime, math.sqrt(b2)
 
 
 def gradient_bound(
-    beta: float, d: int, w2_to_pi: float = math.inf, kl_to_pi: float = math.inf,
-    constant: float = 1.0,
+    beta: float, d: int, w2_to_pi: float = math.inf, kl_to_pi: float = math.inf
 ) -> float:
-    """Bound on E_mu |grad V|^2: constant * (beta d + min(beta^2 W2^2, beta KL))."""
+    """Bound on E_mu |grad V|^2: beta d + min(beta^2 W2^2, beta KL)."""
     if beta < 0.0 or d < 0 or w2_to_pi < 0.0 or kl_to_pi < 0.0:
         raise ValueError("inputs must be >= 0")
     correction = min(beta**2 * w2_to_pi**2, beta * kl_to_pi)
     if not math.isfinite(correction):
         correction = 0.0 if beta == 0.0 else correction
-    return constant * (beta * d + correction)
+    return beta * d + correction
 
 
 # ---------------------------------------------------------------------------

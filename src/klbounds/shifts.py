@@ -61,6 +61,13 @@ def _check_levels(**levels: float) -> None:
             raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
+def _check_closed_form(n: int, **levels: float) -> None:
+    """A closed form's inputs: n >= 1 and every level finite and >= 0."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _check_levels(**levels)
+
+
 @dataclass(frozen=True)
 class SimpleError:
     """Additive one-step error level: d_{n+1} = L (1-eta) d_n + a."""
@@ -220,29 +227,21 @@ def optimal_value_L1(n: int, a: float, d0: float) -> float:
     min sum_{k<n} eta_k^2 d_k^2 subject to the recursion and eta_{n-1}=1:
     (d0 + (n-1) a)^2 / n for d0 >= a, else d0^2 + (n-1) a^2.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if a < 0.0 or d0 < 0.0:
-        raise ValueError("a, d0 must be >= 0")
+    _check_closed_form(n, a=a, d0=d0)
     if d0 >= a:
         s = d0 + (n - 1) * a
         return s * s / n
     return d0 * d0 + (n - 1) * a * a
 
 
-def optimal_shifts_L1(n: int, a: float, d0: float) -> tuple[ShiftSchedule, np.ndarray]:
-    """Optimal schedule for the uniform-cost L=1 problem, plus its distance trace.
+def optimal_shifts_L1(n: int, a: float, d0: float) -> ShiftSchedule:
+    """Optimal schedule for the uniform-cost L=1 problem.
 
     eta_k = min(1, ((n-1) a + d0) / (k a + (n-k) d0)) for k < n-1, eta_{n-1} = 1.
     The degenerate instance a = d0 = 0 returns the all-zero-then-one schedule.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if a < 0.0 or d0 < 0.0:
-        raise ValueError("a, d0 must be >= 0")
+    _check_closed_form(n, a=a, d0=d0)
     eta = np.ones(n)
-    d = np.empty(n)
-    d[0] = d0
     num = (n - 1) * a + d0
     for k in range(n - 1):
         denom = k * a + (n - k) * d0
@@ -250,8 +249,7 @@ def optimal_shifts_L1(n: int, a: float, d0: float) -> tuple[ShiftSchedule, np.nd
             eta[k] = 0.0 if num == 0.0 else 1.0
         else:
             eta[k] = min(1.0, num / denom)
-        d[k + 1] = (1.0 - eta[k]) * d[k] + a
-    return ShiftSchedule(eta), d
+    return ShiftSchedule(eta)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +271,7 @@ def optimal_value_Lgeneral(n: int, a: float, d0: float, L: float) -> float:
     """
     if not 0.0 < L < 1.0:
         raise ValueError("L must lie in (0, 1); use optimal_value_L1 at L = 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if a < 0.0 or d0 < 0.0:
-        raise ValueError("a, d0 must be >= 0")
+    _check_closed_form(n, a=a, d0=d0)
     d0 = max(d0, a)
     e1 = _one_minus_pow(L, 1)
     num = a * _one_minus_pow(L, n - 1) + d0 * L ** (n - 1) * e1
@@ -293,10 +288,7 @@ def optimal_shifts_Lgeneral(n: int, a: float, d0: float, L: float) -> ShiftSched
     """
     if not 0.0 < L < 1.0:
         raise ValueError("L must lie in (0, 1)")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if a < 0.0 or d0 < 0.0:
-        raise ValueError("a, d0 must be >= 0")
+    _check_closed_form(n, a=a, d0=d0)
     d = max(d0, a)
     eta = np.ones(n)
     e1 = _one_minus_pow(L, 1)
@@ -327,9 +319,7 @@ def final_bound_with_cross_reg(
     """
     if not 0.0 < L <= 1.0:
         raise ValueError("L must lie in (0, 1]")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_levels(a=a, d0=d0, c=c, c_prime=c_prime, b=b)
+    _check_closed_form(n, a=a, d0=d0, c=c, c_prime=c_prime, b=b)
     if L == 1.0:
         s = d0 + (n - 1) * a
         return ((n - 1) * c + c_prime) * s * s / (n * n) + b * b

@@ -137,7 +137,7 @@ def suite_shifts() -> list[CheckRow]:
             schedule = shifts.optimal_shifts_Lgeneral(n, a, d0, big_l)
         else:
             closed = shifts.optimal_value_L1(n, a, d0)
-            schedule = shifts.optimal_shifts_L1(n, a, d0)[0]
+            schedule = shifts.optimal_shifts_L1(n, a, d0)
         problem = shifts.ShiftProblem(n, big_l, d0, shifts.SimpleError(a))
         _, dp_value = shifts.dp_oracle(problem)
         rows.append(_rel_row(f"oracle_{i:04d}", dp_value, closed, 1e-12))
@@ -199,7 +199,7 @@ def suite_gaussian_lmc() -> list[CheckRow]:
         for x, y in ((0.0, 1.0), (1.0, -2.0), (4.0, 0.5)):
             lhs = gauss.kl_gaussian(
                 gauss.Gaussian((1.0 - h * lam) * x, 2.0 * h),
-                chains.exact_diffusion_kernel(pot, y, h),
+                chains.propagate_law(pot, gauss.Gaussian(y, 0.0), "ExactDiffusion", h, 1),
             )
             rhs = k1.c_prime * (x - y) ** 2 + k1.b_bar**2
             rows.append(_geq_row(f"crossreg_h{h:g}_x{x:g}_y{y:g}", rhs, lhs))

@@ -96,7 +96,7 @@ def test_criterion_3_structural_identity():
         k = bounds.KernelAssumptions(L=big_l, c=c, c_prime=c_prime, b_bar=b, a=a)
         simple = bounds.kl_simple_bound(k, n, d0).value
         if big_l == 1.0:
-            schedule, _ = shifts.optimal_shifts_L1(n, a, d0)
+            schedule = shifts.optimal_shifts_L1(n, a, d0)
         else:
             schedule = shifts.optimal_shifts_Lgeneral(n, a, d0, big_l)
         problem = shifts.ShiftProblem(
@@ -184,7 +184,9 @@ def test_criterion_6_auxiliary_process_recursion():
     # pure-bias toy kernel (sigma = 0): the one-step Wasserstein gap is
     # exactly w and the optimal-schedule recursion holds with equality
     hat, ref = chains.toy_kernel_pair(w, 0.0)
-    schedule, analytic = shifts.optimal_shifts_L1(n, w, d0)
+    schedule = shifts.optimal_shifts_L1(n, w, d0)
+    problem = shifts.ShiftProblem(n, 1.0, d0, shifts.SimpleError(w))
+    analytic = shifts.evaluate_schedule(problem, schedule).distances
     trace = chains.auxiliary_process_sim(
         hat, ref, schedule, 0.0, -d0, replicas=100_000, seed=0
     )

@@ -19,7 +19,6 @@ from klbounds.chains import (
     auxiliary_process_sim,
     dump_samples_csv,
     estimate_local_errors,
-    exact_diffusion_kernel,
     gaussian_drift_kernel,
     lmc_step,
     propagate_law,
@@ -28,7 +27,7 @@ from klbounds.chains import (
     simulate_chain,
     toy_kernel_pair,
 )
-from klbounds.shifts import optimal_shifts_L1
+from klbounds.shifts import ShiftProblem, SimpleError, evaluate_schedule, optimal_shifts_L1
 from klbounds.verify import exact_quadratic_assumptions
 
 UNIT = PotentialSpec.quadratic_potential(1.0)
@@ -40,6 +39,12 @@ def rotated_quadratic(rng, lam, rotate=True):
     q = np.linalg.qr(rng.standard_normal((d, d)))[0] if rotate else np.eye(d)
     p = (q * lam) @ q.T
     return PotentialSpec.quadratic_potential(0.5 * (p + p.T), rng.standard_normal(d))
+
+
+def ou_kernel(pot, x, h):
+    """The exact OU transition law from x: one ExactDiffusion step from a Dirac start."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return propagate_law(pot, gauss.Gaussian(x, np.zeros((x.size, x.size))), "ExactDiffusion", h, 1)
 
 
 def random_gaussian(rng, d):
@@ -99,15 +104,15 @@ def simulate_chain_by_loop(pot, config, init):
         gen = chains._stream(config.seed, k + 1)
         if config.scheme == "LMC":
             noise = gen.standard_normal((samples, d))
-            x = x - h * pot.grad_batch(x) + math.sqrt(2.0 * h) * noise
+            x = x - h * pot.gradient(x) + math.sqrt(2.0 * h) * noise
         elif config.scheme == "RMLMC":
             u = gen.random(samples)
             xi1 = gen.standard_normal((samples, d))
             xi2 = gen.standard_normal((samples, d))
             b_uh = np.sqrt(u * h)[:, None] * xi1
             b_h = b_uh + np.sqrt((1.0 - u) * h)[:, None] * xi2
-            x_mid = x - (u * h)[:, None] * pot.grad_batch(x) + math.sqrt(2.0) * b_uh
-            x = x - h * pot.grad_batch(x_mid) + math.sqrt(2.0) * b_h
+            x_mid = x - (u * h)[:, None] * pot.gradient(x) + math.sqrt(2.0) * b_uh
+            x = x - h * pot.gradient(x_mid) + math.sqrt(2.0) * b_h
         else:
             xi = gen.standard_normal((samples, d))
             x = m + (x - m) @ trans.T + xi @ noise_sd.T
@@ -124,10 +129,10 @@ def mc_local_errors_by_loop(pot, scheme, x, h, samples, seed, inner_steps):
     xs = np.broadcast_to(x, (samples, d)).copy()
     b_grid = np.concatenate([np.zeros((1, samples, d)), np.cumsum(db, axis=0)])
     for k in range(inner_steps):
-        xs = xs - dt * pot.grad_batch(xs) + math.sqrt(2.0) * db[k]
+        xs = xs - dt * pot.gradient(xs) + math.sqrt(2.0) * db[k]
     x0 = np.broadcast_to(x, (samples, d))
     if scheme == "LMC":
-        return x0 - h * pot.grad_batch(x0) + math.sqrt(2.0) * b_grid[-1] - xs
+        return x0 - h * pot.gradient(x0) + math.sqrt(2.0) * b_grid[-1] - xs
     u = gen.random(samples)
     zeta = gen.standard_normal((samples, d))
     t = u * h
@@ -136,8 +141,8 @@ def mc_local_errors_by_loop(pot, scheme, x, h, samples, seed, inner_steps):
     lo, hi = b_grid[idx, np.arange(samples)], b_grid[idx + 1, np.arange(samples)]
     bridge_sd = np.sqrt((dt - (t - t0)) * (t - t0) / dt)
     b_uh = lo + ((t - t0) / dt)[:, None] * (hi - lo) + bridge_sd[:, None] * zeta
-    x_mid = x0 - (u * h)[:, None] * pot.grad_batch(x0) + math.sqrt(2.0) * b_uh
-    return x0 - h * pot.grad_batch(x_mid) + math.sqrt(2.0) * b_grid[-1] - xs
+    x_mid = x0 - (u * h)[:, None] * pot.gradient(x0) + math.sqrt(2.0) * b_uh
+    return x0 - h * pot.gradient(x_mid) + math.sqrt(2.0) * b_grid[-1] - xs
 
 
 def counting(gradient):
@@ -247,27 +252,36 @@ class TestSteps:
 
 class TestExactLaws:
     def test_ou_kernel_spot(self):
-        g = exact_diffusion_kernel(UNIT, 1.0, 0.1)
+        g = ou_kernel(UNIT, 1.0, 0.1)
         assert g.mean[0] == pytest.approx(math.exp(-0.1), rel=1e-15)
         assert g.cov[0, 0] == pytest.approx(1.0 - math.exp(-0.2), rel=1e-15)
 
     def test_ou_kernel_limits(self):
-        short = exact_diffusion_kernel(UNIT, 1.0, 1e-9)
+        short = ou_kernel(UNIT, 1.0, 1e-9)
         assert short.mean[0] == pytest.approx(1.0, abs=1e-8)
         assert short.cov[0, 0] == pytest.approx(0.0, abs=1e-8)
-        long = exact_diffusion_kernel(UNIT, 1.0, 60.0)
+        long = ou_kernel(UNIT, 1.0, 60.0)
         assert long.mean[0] == pytest.approx(0.0, abs=1e-12)
         assert long.cov[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_ou_requires_positive_definite(self):
         degenerate = PotentialSpec.quadratic_potential(np.array([[0.0]]))
         with pytest.raises(ValueError, match="positive-definite"):
-            exact_diffusion_kernel(degenerate, 1.0, 0.1)
+            ou_kernel(degenerate, 1.0, 0.1)
 
     def test_propagate_identity_at_zero_steps(self):
-        init = gauss.Gaussian(2.0, 0.5)
+        init = gauss.Gaussian(2.0, 0.0)
         out = propagate_law(UNIT, init, "LMC", 0.1, 0)
         assert out is init
+
+    @pytest.mark.parametrize("scheme", ["LMC", "ExactDiffusion"])
+    @pytest.mark.parametrize("n", [0, 1, 30])
+    def test_non_dirac_start_rejected(self, scheme, n):
+        pot = rotated_quadratic(np.random.default_rng(n), np.linspace(0.5, 3.0, 3))
+        cov = np.zeros((3, 3))
+        cov[2, 2] = 1e-300  # any non-zero covariance
+        with pytest.raises(ValueError, match="Dirac start"):
+            propagate_law(pot, gauss.Gaussian(np.ones(3), cov), scheme, 0.1, n)
 
     def test_propagate_one_lmc_step_from_dirac(self):
         out = propagate_law(UNIT, gauss.Gaussian(0.0, 0.0), "LMC", 0.1, 1)
@@ -279,11 +293,8 @@ class TestExactLaws:
         assert out.cov[0, 0] == pytest.approx(0.2 / 0.19, rel=1e-12)
 
     def test_exact_diffusion_composition(self):
-        one = propagate_law(UNIT, gauss.Gaussian(1.0, 0.3), "ExactDiffusion", 0.25, 1)
-        kern = exact_diffusion_kernel(UNIT, 1.0, 0.25)
-        assert one.mean[0] == pytest.approx(kern.mean[0])
         many = propagate_law(UNIT, gauss.Gaussian(1.0, 0.0), "ExactDiffusion", 0.25, 8)
-        direct = exact_diffusion_kernel(UNIT, 1.0, 2.0)
+        direct = ou_kernel(UNIT, 1.0, 2.0)
         np.testing.assert_allclose(many.mean, direct.mean, rtol=1e-12)
         np.testing.assert_allclose(many.cov, direct.cov, rtol=1e-12)
 
@@ -306,26 +317,11 @@ class TestExactLaws:
         lam = np.concatenate([z, np.linspace(0.2, 1.8, 11)]) / h
         rng = np.random.default_rng(n)
         pot = rotated_quadratic(rng, lam, rotate)
-        init = random_gaussian(rng, lam.size)
+        init = gauss.Gaussian(rng.standard_normal(lam.size), np.zeros((lam.size, lam.size)))
         law = propagate_law(pot, init, "LMC", h, n)
         mean, cov = lmc_law_by_steps(pot, init, h, n)
         assert np.max(np.abs(law.mean - mean)) <= 1e-12 * max(1.0, np.max(np.abs(mean)))
         assert np.max(np.abs(law.cov - cov)) <= 1e-12 * np.max(np.abs(cov))
-
-    @pytest.mark.parametrize("n", [1, 7, 200])
-    def test_lmc_dirac_law_matches_steps(self, n):
-        # a Dirac start builds the law in the precision's eigenbasis, with no eigh
-        h = 0.1
-        lam = np.concatenate([[0.0, 1e-9, 0.03, 0.5, 1.0, 1.5, 1.9, 2.0, 2.5],
-                              np.linspace(0.2, 1.8, 11)]) / h
-        rng = np.random.default_rng(100 + n)
-        for rotate in (True, False):
-            pot = rotated_quadratic(rng, lam, rotate)
-            init = gauss.Gaussian(rng.standard_normal(lam.size), np.zeros((lam.size, lam.size)))
-            law = propagate_law(pot, init, "LMC", h, n)
-            mean, cov = lmc_law_by_steps(pot, init, h, n)
-            assert np.max(np.abs(law.mean - mean)) <= 1e-12 * max(1.0, np.max(np.abs(mean)))
-            assert np.max(np.abs(law.cov - cov)) <= 1e-12 * np.max(np.abs(cov))
 
     def test_unstable_lmc_law_divergence_raises(self):
         with pytest.raises(ValueError, match="diverged"):
@@ -502,7 +498,7 @@ class TestSimulateChain:
         edge = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1.7976931348623157e308,
                 0.1, 1.0 / 3.0, 123456789.0, 1e-7, math.inf, math.nan]
         iterates = np.array(edge * 5).reshape(3, 4, 5)
-        res = chains.ChainResult(iterates, SamplerConfig("LMC", 0.1, 3, samples=3))
+        res = chains.ChainResult(iterates)
         path = tmp_path / "samples.csv"
         dump_samples_csv(path, res)
         want = "replica,step," + ",".join(f"coord_{j}" for j in range(5)) + "\n"
@@ -529,7 +525,7 @@ class TestAuxiliaryProcess:
         w, sigma = 0.1, 1.0
         hat, ref = toy_kernel_pair(w, sigma)
         a = math.sqrt(w**2 + (math.sqrt(1 + sigma**2) - 1) ** 2)
-        schedule, _ = optimal_shifts_L1(8, a, 2.0)
+        schedule = optimal_shifts_L1(8, a, 2.0)
         trace = auxiliary_process_sim(hat, ref, schedule, 0.0, -2.0,
                                       replicas=60_000, seed=1)
         for k in range(7):  # last step switches kernels; recursion covers the rest
@@ -541,7 +537,8 @@ class TestAuxiliaryProcess:
         # recursion d_{k+1} = (1 - eta_k) d_k + w holds with equality
         w, d0, n = 0.25, 2.0, 8
         hat, ref = toy_kernel_pair(w, 0.0)
-        schedule, analytic = optimal_shifts_L1(n, w, d0)
+        schedule = optimal_shifts_L1(n, w, d0)
+        analytic = evaluate_schedule(ShiftProblem(n, 1.0, d0, SimpleError(w)), schedule).distances
         trace = auxiliary_process_sim(hat, ref, schedule, 0.0, -d0,
                                       replicas=100_000, seed=2)
         for k in range(n):
@@ -566,13 +563,13 @@ class TestPotentialSpec:
         p = rotated_quadratic(rng, np.linspace(0.5, 3.0, 6)).quadratic.precision.copy()
         m = rng.standard_normal(6)
         pot = PotentialSpec.quadratic_potential(p, m)
-        x, init = m + 1.0, gauss.Gaussian(m + 1.0, np.eye(6))
+        x, init = m + 1.0, gauss.Gaussian(m + 1.0, np.zeros((6, 6)))
 
         def laws():
             return [
                 propagate_law(pot, init, "LMC", 0.1, 30),
                 propagate_law(pot, init, "ExactDiffusion", 0.1, 30),
-                exact_diffusion_kernel(pot, x, 0.1),
+                propagate_law(pot, init, "ExactDiffusion", 0.1, 1),
             ]
 
         before = laws()
@@ -596,10 +593,10 @@ class TestPotentialSpec:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        init = gauss.Gaussian(np.zeros(5), np.eye(5))
+        init = gauss.Gaussian(np.zeros(5), np.zeros((5, 5)))
         propagate_law(pot, init, "LMC", 0.1, 10)
         propagate_law(pot, init, "ExactDiffusion", 0.1, 10)
-        exact_diffusion_kernel(pot, np.zeros(5), 0.1)
+        propagate_law(pot, init, "ExactDiffusion", 0.1, 1)
         for scheme in ("LMC", "RMLMC"):
             estimate_local_errors(pot, scheme, np.ones(5), 0.1)
         simulate_chain(pot, SamplerConfig("ExactDiffusion", 0.1, 2, samples=3), np.zeros(5))
@@ -613,9 +610,19 @@ class TestPotentialSpec:
         with pytest.raises(ValueError, match="mode"):
             QuadraticTag(np.eye(2), np.zeros(3))
 
-    def test_grad_batch_falls_back_only_on_shape_errors(self):
-        scalar_only = PotentialSpec(1, lambda x: np.array([2.0 * float(x[0])]))
-        np.testing.assert_array_equal(scalar_only.grad_batch(np.ones((3, 1))), np.full((3, 1), 2.0))
+    def test_gradient_must_keep_batch_shape(self):
+        # a per-point gradient handed a batch is an error, not a row loop
+        gradient, calls = counting(lambda x: np.array([2.0 * np.ravel(x)[0]]))
+        scalar_only = PotentialSpec(1, gradient)
+        shapes = r"gradient returned shape \(1,\) for input shape \(3, 1\)"
+        with pytest.raises(ValueError, match=shapes):
+            lmc_step(scalar_only, np.ones((3, 1)), 0.1, np.zeros((3, 1)))
+        with pytest.raises(ValueError, match=shapes):
+            rmlmc_step(scalar_only, np.ones((3, 1)), 0.1, 0.5, np.zeros((3, 1)), np.zeros((3, 1)))
+        with pytest.raises(ValueError, match=shapes):
+            simulate_chain(scalar_only, SamplerConfig("LMC", 0.1, 2, samples=3), np.zeros(1))
+        assert calls == [(3, 1)] * 3
+        assert lmc_step(scalar_only, 1.0, 0.1, 0.0)[0] == pytest.approx(0.8)
 
         def rejects_batches(x):
             if np.ndim(x) > 1:
@@ -624,7 +631,7 @@ class TestPotentialSpec:
 
         broken = PotentialSpec(2, rejects_batches)
         with pytest.raises(RuntimeError, match="model failure"):
-            broken.grad_batch(np.zeros((4, 2)))
+            lmc_step(broken, np.zeros((4, 2)), 0.1, np.zeros((4, 2)))
 
 
 
@@ -692,7 +699,7 @@ class TestSmallStepAccuracy:
             h = z / lam
             want = ou_variance_mp(lam, h)
             pot = PotentialSpec.quadratic_potential(lam)
-            got = exact_diffusion_kernel(pot, 0.0, h).cov[0, 0]
+            got = ou_kernel(pot, 0.0, h).cov[0, 0]
             assert got == pytest.approx(want, rel=2e-15, abs=0.0)
             init = gauss.Gaussian(0.0, 0.0)
             law = propagate_law(pot, init, "ExactDiffusion", h / 4, 4)
@@ -714,6 +721,23 @@ class TestSmallStepAccuracy:
         below, above = chains._rmlmc_variance_ratio(z)
         assert above == pytest.approx(below, rel=1e-15)
 
+    def test_lmc_coupled_variance_against_mpmath(self):
+        # 1 + phi(2z) - 2 phi(z) cancels to z^2 / 3; the closed form from z = 1e-3 up
+        # was off by 6.2e-10 relative at z = 1.01e-3 and 8.8e-12 at z = 5e-3
+        z = np.concatenate([[1e-100, 1e-20, 1e-3, 1.01e-3, 5e-3, 0.03, 0.5,
+                             math.nextafter(1.0, 0.0), 1.0, 1.28, 3.0, 316.0],
+                            np.geomspace(1e-8, 300.0, 60)])
+        want = []
+        for v in z:
+            # the bracket loses 2 log10(1/z) digits to cancellation
+            with mpmath.workdps(50 + int(2 * max(0.0, -math.log10(v)))):
+                v = mpmath.mpf(v)
+                phi = lambda t: -mpmath.expm1(-t) / t  # noqa: E731
+                want.append(float(2 * (1 + phi(2 * v) - 2 * phi(v))))
+        got = chains._lmc_coupled_variance(z, 1.0)
+        np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
+        assert chains._lmc_coupled_variance(np.zeros(1), 0.1)[0] == 0.0
+
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 # finite but extreme: subnormal, tiny, huge, the largest float
@@ -727,13 +751,13 @@ class TestNonFiniteAndExtremeInput:
     @settings(max_examples=60, deadline=None)
     @given(h=st.one_of(NON_FINITE, st.sampled_from([0.0, -0.0, -5e-324]), st.floats(max_value=0.0)))
     def test_invalid_step_rejected_everywhere(self, h):
-        init = gauss.Gaussian(1.0, 0.5)
+        init = gauss.Gaussian(1.0, 0.0)
         for call in (
             lambda: SamplerConfig("LMC", h, 3),
             lambda: estimate_local_errors(UNIT, "RMLMC", 1.0, h),
             lambda: propagate_law(UNIT, init, "LMC", h, 0),
             lambda: propagate_law(UNIT, init, "ExactDiffusion", h, 3),
-            lambda: exact_diffusion_kernel(UNIT, 1.0, h),
+            lambda: propagate_law(UNIT, init, "ExactDiffusion", h, 1),
         ):
             with pytest.raises(ValueError, match="h must be finite and > 0"):
                 call()
@@ -748,7 +772,7 @@ class TestNonFiniteAndExtremeInput:
     @given(h=EXTREME, scheme=st.sampled_from(["LMC", "RMLMC", "ExactDiffusion"]))
     def test_extreme_finite_step_accepted(self, h, scheme):
         assert SamplerConfig(scheme, h, 3).h == h
-        law = exact_diffusion_kernel(UNIT, 1.0, h)
+        law = ou_kernel(UNIT, 1.0, h)
         assert np.all(np.isfinite(law.cov)) and 0.0 < law.cov[0, 0] <= 1.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflow to inf is documented
@@ -859,11 +883,11 @@ class TestEigenbasisLaws:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         laws = [propagate_law(pot, dirac, "LMC", 0.1, 30),
                 propagate_law(pot, dirac, "ExactDiffusion", 0.1, 30),
-                exact_diffusion_kernel(pot, np.ones(6), 0.1)]
+                propagate_law(pot, dirac, "ExactDiffusion", 0.1, 1)]
+        # a start with covariance is rejected before any decomposition
+        with pytest.raises(ValueError, match="Dirac start"):
+            propagate_law(pot, spread, "LMC", 0.1, 30)
         assert calls == []
-        # a start with covariance still takes the dense path, which decomposes the law
-        propagate_law(pot, spread, "LMC", 0.1, 30)
-        assert calls == [(6, 6)]
         for law in laws:
             assert np.all(np.diff(law._eigvals) >= 0.0)
 
@@ -882,7 +906,7 @@ class TestEigenbasisLaws:
             x = m + 2.0 * rng.standard_normal(d)
             dirac = gauss.Gaussian(x, np.zeros((d, d)))
             laws = [propagate_law(pot, dirac, s, h, n) for s in ("LMC", "ExactDiffusion")]
-            laws.append(exact_diffusion_kernel(pot, x, h))
+            laws.append(propagate_law(pot, dirac, "ExactDiffusion", h, 1))
             for law in laws:
                 dense = gauss.Gaussian(law.mean, law.cov)
                 for f in (gauss.kl_gaussian, renyi):

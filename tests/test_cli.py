@@ -165,7 +165,7 @@ class TestPlanCommand:
         cfg.write_text("alpha = 1\nbeta = 2\nd = 4\neps = 0.5\nW = 3  # comment\n")
         out = tmp_path / "plan.csv"
         code = cli.main(
-            ["plan", "--config", str(cfg), "--set", "setting=SLC",
+            ["plan", "--config", str(cfg), "--set", "setting=WLC",
              "--set", "scheme=LMC", "--out", str(out)]
         )
         assert code == 0
@@ -278,6 +278,15 @@ class TestRejectedInput:
         (["local-errors", "--set", "h_grid=0.2,0.1", "--set", "h=0.1"], "h"),
         (["plan", "--set", "alpha=1", "--set", "beta=2", "--set", "d=4", "--set", "eps=0.5",
           "--set", "W=3", "--set", "chi2_init=5"], "chi2_init"),
+        # zeta0 and zeta1 are read only for LMC_SMOOTH cells, W only for WLC cells
+        (["plan", "--set", "scheme=RMLMC", "--set", "setting=SLC", "--set", "alpha=1",
+          "--set", "beta=2", "--set", "d=4", "--set", "eps=0.5", "--set", "zeta0=5"], "zeta0"),
+        (["plan", "--set", "scheme=RMLMC", "--set", "setting=WLC", "--set", "alpha=1",
+          "--set", "beta=2", "--set", "d=4", "--set", "eps=0.5", "--set", "W=3",
+          "--set", "zeta1=1"], "zeta1"),
+        (["plan", "--set", "scheme=LMC_SMOOTH", "--set", "setting=SLC,LSI", "--set", "alpha=1",
+          "--set", "beta=2", "--set", "d=4", "--set", "eps=0.5", "--set", "zeta0=1",
+          "--set", "W=3"], "W"),
     ])
     def test_unread_config_key_exits_2(self, tmp_path, capsys, argv, key):
         code, out = run(argv, tmp_path)

@@ -47,8 +47,8 @@ class TestLangevinKernelParams:
         pot = chains.PotentialSpec.quadratic_potential(1.0)
         h, x, y = 0.3, 2.0, -1.0
         big_l, _, c = langevin_kernel_params(1.0, 1.0, h)
-        px = chains.exact_diffusion_kernel(pot, x, h)
-        py = chains.exact_diffusion_kernel(pot, y, h)
+        px, py = (chains.propagate_law(pot, gauss.Gaussian(v, 0.0), "ExactDiffusion", h, 1)
+                  for v in (x, y))
         assert gauss.w2_gaussian(px, py) == pytest.approx(big_l * abs(x - y), rel=1e-10)
         assert gauss.kl_gaussian(px, py) == pytest.approx(c * (x - y) ** 2, rel=1e-10)
 

@@ -148,10 +148,11 @@ class TestL1ClosedForms:
         assert optimal_value_L1(4, 0.0, 1.0) == pytest.approx(0.25)
 
     def test_shifts_golden(self):
-        sched, dist = optimal_shifts_L1(2, 1.0, 2.0)
+        sched = optimal_shifts_L1(2, 1.0, 2.0)
         np.testing.assert_allclose(sched.eta, [0.75, 1.0])
+        dist = evaluate_schedule(ShiftProblem(2, 1.0, 2.0, SimpleError(1.0)), sched).distances
         np.testing.assert_allclose(dist, [2.0, 1.5])
-        sched, _ = optimal_shifts_L1(4, 0.0, 1.0)
+        sched = optimal_shifts_L1(4, 0.0, 1.0)
         np.testing.assert_allclose(sched.eta, [0.25, 1 / 3, 0.5, 1.0])
 
     def test_distance_trace_matches_explicit_formula(self):
@@ -159,7 +160,8 @@ class TestL1ClosedForms:
         for _ in range(200):
             n = int(rng.integers(1, 25))
             a, d0 = rng.uniform(0, 5, 2)
-            _, dist = optimal_shifts_L1(n, a, d0)
+            pr = ShiftProblem(n, 1.0, d0, SimpleError(a))
+            dist = evaluate_schedule(pr, optimal_shifts_L1(n, a, d0)).distances
             explicit = [max(a, (k * a + (n - k) * d0) / n) for k in range(1, n)]
             np.testing.assert_allclose(dist[1:], explicit, rtol=1e-12, atol=1e-12)
 
@@ -168,21 +170,22 @@ class TestL1ClosedForms:
         for _ in range(300):
             n = int(rng.integers(1, 25))
             a, d0 = rng.uniform(0, 10, 2)
-            sched, _ = optimal_shifts_L1(n, a, d0)
+            sched = optimal_shifts_L1(n, a, d0)
             pr = ShiftProblem(n, 1.0, d0, SimpleError(a))
             got = evaluate_schedule(pr, sched).total
             assert got == pytest.approx(optimal_value_L1(n, a, d0), rel=1e-12, abs=1e-12)
 
     def test_feasible_for_small_d0(self):
-        sched, _ = optimal_shifts_L1(5, 2.0, 0.5)
+        sched = optimal_shifts_L1(5, 2.0, 0.5)
         assert np.all(sched.eta >= 0.0) and np.all(sched.eta <= 1.0)
         assert sched.eta[-1] == 1.0
 
     def test_degenerate_instance(self):
-        sched, dist = optimal_shifts_L1(4, 0.0, 0.0)
-        assert np.all(dist == 0.0)
+        sched = optimal_shifts_L1(4, 0.0, 0.0)
         pr = ShiftProblem(4, 1.0, 0.0, SimpleError(0.0))
-        assert evaluate_schedule(pr, sched).total == 0.0
+        trace = evaluate_schedule(pr, sched)
+        assert np.all(trace.distances == 0.0)
+        assert trace.total == 0.0
 
     def test_no_random_schedule_beats_optimum(self):
         rng = np.random.default_rng(9)
@@ -292,7 +295,7 @@ class TestFinalBoundWithCrossReg:
             c_prime = float(rng.uniform(0.1, 3))
             b = float(rng.uniform(0, 1))
             if big_l == 1.0:
-                sched, _ = optimal_shifts_L1(n, a, d0)
+                sched = optimal_shifts_L1(n, a, d0)
             else:
                 sched = optimal_shifts_Lgeneral(n, a, d0, big_l)
             pr = ShiftProblem(n, big_l, d0, SimpleError(a), c=c, c_prime=c_prime, b=b)
@@ -670,6 +673,25 @@ def test_shift_constructors_reject_non_finite(bad, field):
     kwargs = {"n": 3, "L": 1.0, "d0": 1.0, "error": SimpleError(0.5), field: bad}
     with pytest.raises(ValueError):
         ShiftProblem(**kwargs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bad=st.one_of(NON_FINITE, st.sampled_from([-1.0, -5e-324])),
+       field=st.sampled_from(["a", "d0"]),
+       form=st.sampled_from(["value_L1", "shifts_L1", "value_Lgeneral", "shifts_Lgeneral",
+                             "cross_reg"]))
+def test_closed_forms_reject_non_finite_and_negative(bad, field, form):
+    # optimal_value_L1 returned nan and optimal_shifts_L1 an all-ones schedule for a = nan
+    args = {"n": 3, "a": 0.5, "d0": 1.0, field: bad}
+    call = {
+        "value_L1": lambda: optimal_value_L1(**args),
+        "shifts_L1": lambda: optimal_shifts_L1(**args),
+        "value_Lgeneral": lambda: optimal_value_Lgeneral(**args, L=0.9),
+        "shifts_Lgeneral": lambda: optimal_shifts_Lgeneral(**args, L=0.9),
+        "cross_reg": lambda: final_bound_with_cross_reg(**args, L=1.0, c=1.0, c_prime=1.0, b=0.0),
+    }[form]
+    with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0"):
+        call()
 
 
 @settings(max_examples=60, deadline=None)

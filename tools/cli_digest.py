@@ -6,12 +6,13 @@ exception it raised), then the sha256 of the CSV, of the captured stdout
 and of the captured stderr, with the temporary path masked ("-" where no
 CSV was written).  The list covers every subcommand: ``sample`` for all
 three schemes, ``local-errors``, ``bound`` for the toy pair and for
-explicit constants, ``shifts`` (with the oracle line at n = 8 and 40),
-``plan`` and all five ``verify`` suites, plus the overflow, NaN-step and
-NaN toy inputs that must fail cleanly, a misspelt config key, a key
-``plan`` does not read (``chi2_init``) and a flag the subcommand does not
-take.  A rejection by the argument parser
-(``SystemExit``) is recorded as its exit code.
+explicit constants, ``shifts`` (at L = 1, and at L = 0.9 with the oracle
+line at n = 8 and 40), ``plan`` and all five ``verify`` suites, plus the
+overflow, NaN-step and NaN toy inputs that must fail cleanly, a misspelt
+config key, keys ``plan`` does not read (``chi2_init``, and ``zeta0`` when
+no LMC_SMOOTH cell is requested) and a flag the subcommand does not take.
+A rejection by the argument parser (``SystemExit``) is recorded as its
+exit code.
 
 It imports klbounds from the ``src/`` next to it, so running the same file
 in two checkouts and diffing the outputs shows which outputs a change
@@ -61,6 +62,7 @@ COMMANDS = [
     ("local-errors-nan-h", ["local-errors", *_sets("h=nan", "x=1")]),
     ("sample-nan-h", ["sample", *_sets("h=nan", "n=5", "samples=3")]),
     ("shifts", ["shifts", *_sets("n=8", "L=0.9", "a=0.2", "d0=2")]),
+    ("shifts-L1", ["shifts", *_sets("n=8", "L=1", "a=0.2", "d0=2")]),
     ("plan", ["plan", *_sets("alpha=1", "beta=2", "d=4", "eps=0.5", "W=3")]),
     *[(f"verify-{suite}", ["verify", suite])
       for suite in ("toy", "shifts", "gaussian-lmc", "local-errors", "slopes")],
@@ -70,6 +72,8 @@ COMMANDS = [
     ("shifts-n40", ["shifts", *_sets("n=40", "L=0.9", "a=0.2", "d0=2")]),
     ("bound-toy-nan", ["bound", *_sets("n=4", "toy_w=0.1", "toy_sigma=nan")]),
     ("plan-chi2-init", ["plan", *_sets("alpha=1", "beta=2", "d=4", "eps=0.5", "W=3", "chi2_init=5")]),
+    ("plan-unused-zeta0", ["plan", *_sets(
+        "scheme=RMLMC", "setting=SLC", "alpha=1", "beta=2", "d=4", "eps=0.5", "zeta0=5")]),
 ]
 
 
