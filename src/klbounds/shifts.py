@@ -325,7 +325,9 @@ def final_bound_with_cross_reg(
         return ((n - 1) * c + c_prime) * s * s / (n * n) + b * b
     e1 = _one_minus_pow(L, 1)
     e2n = _one_minus_pow(L, 2 * n)
-    cost = c + (c_prime - c) * _one_minus_pow(L, 2) / e2n
+    # c (1-r) + c' r with r = (1-L^2)/(1-L^{2n}) and 1-r = L^2 (1-L^{2n-2})/(1-L^{2n}):
+    # both weights are >= 0, so the cost cannot cancel below zero.
+    cost = (c * L * L * _one_minus_pow(L, 2 * n - 2) + c_prime * _one_minus_pow(L, 2)) / e2n
     num = a * _one_minus_pow(L, n - 1) + L ** (n - 1) * e1 * d0
     return cost * (1.0 + L) * num * num / (e1 * e2n) + b * b
 

@@ -269,6 +269,11 @@ class TestFinalBoundWithCrossReg:
         got = final_bound_with_cross_reg(2, 0.0, 1.0, 0.5, 1.0, 2.0, 0.0)
         assert got == pytest.approx(0.36)
 
+    def test_huge_c_with_zero_c_prime_is_not_negative(self):
+        # at n = 1 only c' weighs; c + (c' - c) r once cancelled to -2.5e-309
+        got = final_bound_with_cross_reg(1, 0.0, 1e-300, 0.5, 2.2468019526085308e307, 0.0, 0.0)
+        assert got == 0.0
+
     def test_reduces_to_uniform_cost(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
