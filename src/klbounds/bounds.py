@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import gauss, shifts
+from . import _checks, gauss, shifts
 
 __all__ = [
     "KernelAssumptions",
@@ -61,17 +61,9 @@ class KernelAssumptions:
     implied_constant: float = 1.0
 
     def __post_init__(self):
-        for name in ("L", "gamma", "c", "c_prime", "implied_constant"):
-            if math.isinf(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        # the negated comparisons also reject nan
-        if not self.L > 0.0:
-            raise ValueError("L must be > 0")
-        for name in ("gamma", "c", "c_prime", "b_bar", "e_weak", "e_strong", "a"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if not self.implied_constant > 0.0:
-            raise ValueError("implied_constant must be > 0")
+        _checks.positive(L=self.L, implied_constant=self.implied_constant)
+        _checks.nonnegative(gamma=self.gamma, c=self.c, c_prime=self.c_prime)
+        _checks.level(b_bar=self.b_bar, e_weak=self.e_weak, e_strong=self.e_strong, a=self.a)
 
 
 @dataclass(frozen=True)
@@ -97,6 +89,7 @@ def _pow(x: float, p: int) -> float:
 
 def n_bar(L: float, n: int) -> float:
     """Effective horizon N ∧ 1/(1-L)_+; equals N whenever L >= 1."""
+    _checks.positive(L=L)
     if L >= 1.0:
         return float(n)
     return min(float(n), 1.0 / (1.0 - L))
@@ -124,10 +117,8 @@ def w2_framework_bound(k: KernelAssumptions, n: int, w2_init: float) -> BoundRep
     L >  1:  L^{3N} [W^2 + (Ew + gamma Es)^2/(L-1)^2 + Es^2/(L-1)]
     multiplied by the implied constant.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (math.isfinite(w2_init) and w2_init >= 0.0):
-        raise ValueError("w2_init must be finite and >= 0")
+    _checks.count("n", n)
+    _checks.nonnegative(w2_init=w2_init)
     drift = k.e_weak + k.gamma * k.e_strong
     if k.L <= 1.0:
         nb = n_bar(k.L, n)
@@ -144,10 +135,12 @@ def kl_simple_bound(k: KernelAssumptions, n: int, w2_init: float) -> BoundReport
     """Exact-constant KL bound from the coupling analysis (L <= 1 only).
 
     Structurally identical to shifts.final_bound_with_cross_reg evaluated
-    at (n, a, w2_init, L, c, c', b_bar); no implied constant enters.
+    at (n, a, w2_init, L, c, c', b_bar), which clamps w2_init < a up to a;
+    no implied constant enters.
     """
     if not 0.0 < k.L <= 1.0:
         raise ValueError("kl_simple_bound requires L in (0, 1]")
+    _checks.nonnegative(w2_init=w2_init, a=k.a, b_bar=k.b_bar)
     value = shifts.final_bound_with_cross_reg(
         n, k.a, w2_init, k.L, k.c, k.c_prime, k.b_bar
     )
@@ -168,10 +161,8 @@ def kl_framework_bound(
         recursion with a0 = Es, a1 = Ew + gamma Es from d_0 = w2_init, and
         returns the exact objective plus b_bar^2 with no constant.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (math.isfinite(w2_init) and w2_init >= 0.0):
-        raise ValueError("w2_init must be finite and >= 0")
+    _checks.count("n", n)
+    _checks.nonnegative(w2_init=w2_init)
     a1 = k.e_weak + k.gamma * k.e_strong
     a0 = k.e_strong
     if mode == "closed_form":
@@ -188,6 +179,7 @@ def kl_framework_bound(
     if mode == "certified":
         if not 0.5 <= k.L <= 2.0:
             raise ValueError("certified mode requires 1/2 <= L <= 2")
+        _checks.nonnegative(e_weak=k.e_weak, e_strong=k.e_strong)
         schedule = shifts.three_phase_schedule(n, k.L)
         problem = shifts.ShiftProblem(
             n, k.L, w2_init, shifts.WeakAwareError(a0, a1), c=k.c, c_prime=k.c_prime, b=0.0

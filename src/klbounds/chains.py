@@ -21,7 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gauss import Gaussian
+from . import _checks
+from .gauss import Gaussian, _check_toy
 
 __all__ = [
     "QuadraticTag",
@@ -89,8 +90,7 @@ class PotentialSpec:
     quadratic: Optional[QuadraticTag] = None
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        _checks.count("dimension", self.dimension)
         if self.quadratic is not None:
             probe = np.linspace(1.0, 2.0, self.dimension)
             want = self.quadratic.precision @ (probe - self.quadratic.mode)
@@ -113,12 +113,6 @@ class PotentialSpec:
         )
 
 
-def _check_step(h: float) -> None:
-    """A step size must be finite and > 0."""
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"h must be finite and > 0, got {h!r}")
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
     scheme: str
@@ -130,9 +124,9 @@ class SamplerConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-        _check_step(self.h)
-        if self.n_steps < 0 or self.samples < 1:
-            raise ValueError("n_steps must be >= 0 and samples >= 1")
+        _checks.positive(h=self.h)
+        _checks.count("n_steps", self.n_steps, least=0)
+        _checks.count("samples", self.samples)
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:
@@ -182,6 +176,7 @@ def lmc_step(pot: PotentialSpec, x, h: float, noise) -> np.ndarray:
 
     x is one state (d,) or a batch (m, d) with noise of the same shape.
     """
+    _checks.positive(h=h)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     noise = np.atleast_1d(np.asarray(noise, dtype=float))
     if noise.shape != x.shape:
@@ -196,6 +191,7 @@ def rmlmc_increments(u, h: float, xi1, xi2):
     independent standard normal xi1, xi2; u is a scalar, or (m,) for
     batches (m, d).
     """
+    _checks.positive(h=h)
     xi1 = np.atleast_1d(np.asarray(xi1, dtype=float))
     xi2 = np.atleast_1d(np.asarray(xi2, dtype=float))
     u = _fraction(u, xi1)
@@ -212,6 +208,7 @@ def rmlmc_step(pot: PotentialSpec, x, h: float, u, b_uh, b_h) -> np.ndarray:
     or a batch (m, d) with u a scalar or (m,).  The increments must carry
     the correlation structure of rmlmc_increments.
     """
+    _checks.positive(h=h)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     b_uh = np.atleast_1d(np.asarray(b_uh, dtype=float))
     b_h = np.atleast_1d(np.asarray(b_h, dtype=float))
@@ -271,10 +268,9 @@ def propagate_law(pot: PotentialSpec, init: Gaussian, scheme: str, h: float, n: 
 
     A start with non-zero covariance raises ValueError.
     """
-    _check_step(h)
+    _checks.positive(h=h)
+    _checks.count("n", n, least=0)
     lam, vecs, m = _quadratic_eig(pot)
-    if n < 0:
-        raise ValueError("n must be >= 0")
     if np.any(init.cov):
         raise ValueError("propagate_law needs a Dirac start (zero covariance)")
     if n == 0:
@@ -309,6 +305,16 @@ class LocalErrorEstimate:
     underpowered: bool
 
 
+def _below_one(z: np.ndarray, series, closed) -> np.ndarray:
+    """The Taylor polynomial with coefficients ``series`` below z = 1 and
+    ``closed(z)`` from z = 1 up, where the closed form no longer cancels."""
+    out = np.empty_like(z)
+    small = z < 1.0
+    out[small] = np.polynomial.polynomial.polyval(z[small], series)
+    out[~small] = closed(z[~small])
+    return out
+
+
 # Taylor coefficients of the bracket of _lmc_coupled_variance below z = 1:
 # (-1)^j (2^j - 2) / (j+1)! at z^j for j = 2..25 (the j = 0, 1 terms vanish).
 _LMC_SERIES = np.zeros(26)
@@ -323,12 +329,8 @@ def _lmc_coupled_variance(lam: np.ndarray, h: float) -> np.ndarray:
     terms cancel to O(z^2), the Taylor series, whose relative truncation
     error there is below 1e-19.
     """
-    z = lam * h
-    bracket = np.empty_like(z)
-    small = z < 1.0
-    bracket[small] = np.polynomial.polynomial.polyval(z[small], _LMC_SERIES)
-    zl = z[~small]
-    bracket[~small] = 1.0 - np.expm1(-2.0 * zl) / (2.0 * zl) + 2.0 * np.expm1(-zl) / zl
+    bracket = _below_one(lam * h, _LMC_SERIES,
+                         lambda z: 1.0 - np.expm1(-2.0 * z) / (2.0 * z) + 2.0 * np.expm1(-z) / z)
     return 2.0 * h * bracket
 
 
@@ -347,14 +349,9 @@ def _rmlmc_variance_ratio(z: np.ndarray) -> np.ndarray:
     which never forms z^3; below, where its O(1) terms cancel to O(z^2), the
     Taylor series, whose truncation error there is below 1e-19.
     """
-    out = np.empty_like(z)
-    small = z < 1.0
-    out[small] = np.polynomial.polynomial.polyval(z[small], _RMLMC_SERIES)
-    zl = z[~small]
     # Horner keeps an overflow at inf, never inf - inf
-    out[~small] = ((zl / 2.0 - 1.0) * zl + 1.0 - 2.0 * np.exp(-zl)
-                   - np.expm1(-2.0 * zl) / (2.0 * zl))
-    return out
+    return _below_one(z, _RMLMC_SERIES, lambda z: (z / 2.0 - 1.0) * z + 1.0 - 2.0 * np.exp(-z)
+                      - np.expm1(-2.0 * z) / (2.0 * z))
 
 
 def _exp_remainder(z: np.ndarray, k: int) -> np.ndarray:
@@ -366,12 +363,8 @@ def _exp_remainder(z: np.ndarray, k: int) -> np.ndarray:
     than 1e-15 relative.
     """
     coefs = [(-1.0) ** j / math.factorial(j) for j in range(k + 21)]
-    out = np.empty_like(z)
-    small = z < 1.0
-    out[small] = np.polynomial.polynomial.polyval(z[small], [0.0] * (k + 1) + coefs[k + 1 :])
-    zl = z[~small]
-    out[~small] = np.exp(-zl) - np.polynomial.polynomial.polyval(zl, coefs[: k + 1])
-    return out
+    return _below_one(z, [0.0] * (k + 1) + coefs[k + 1 :],
+                      lambda z: np.exp(-z) - np.polynomial.polynomial.polyval(z, coefs[: k + 1]))
 
 
 def _pow2_scale(top: float) -> float:
@@ -443,39 +436,37 @@ def _mc_local_errors(pot, scheme, x, h, samples, seed, inner_steps):
 
     The diffusion endpoint runs inner_steps LMC steps of length h /
     inner_steps; the scheme's step X_hat (LMC or RMLMC) reads the same
-    Brownian path.
+    Brownian path, which is accumulated step by step: memory is O(samples d).
     """
-    if inner_steps < 64:
-        raise ValueError("inner_steps must be >= 64 for the diffusion endpoint")
+    _checks.count("inner_steps", inner_steps, least=64)
     d = pot.dimension
     gen = _stream(seed, 0)
     dt = h / inner_steps
-    xi = gen.standard_normal((inner_steps, samples, d))
     x0 = np.broadcast_to(x, (samples, d))
-    xs = x0
-    for k in range(inner_steps):
-        xs = lmc_step(pot, xs, dt, xi[k])
-    # the shared path on the inner grid, b_grid[k] = B_{k dt}, from the
-    # increments sqrt(dt) xi scaled in place
-    xi *= math.sqrt(dt)
-    b_grid = np.zeros((inner_steps + 1, samples, d))
-    np.cumsum(xi, axis=0, out=b_grid[1:])
-    b_h = b_grid[-1]
-    if scheme == "LMC":
-        x_hat = lmc_step(pot, x0, h, b_h / math.sqrt(h))
-    else:
+    if scheme == "RMLMC":
+        # u and the bridge noise come first, so B_{uh} is bridged (exact joint
+        # law) between the grid points around t = u h as the path passes them
         u = gen.random(samples)
         zeta = gen.standard_normal((samples, d))
         t = u * h
         idx = np.minimum((t / dt).astype(int), inner_steps - 1)
         t0 = idx * dt
-        frac = (t - t0) / dt
-        lo = b_grid[idx, np.arange(samples)]
-        hi = b_grid[idx + 1, np.arange(samples)]
-        # Brownian bridge between surrounding grid points (exact joint law)
-        bridge_var = (dt - (t - t0)) * (t - t0) / dt
-        b_uh = lo + frac[:, None] * (hi - lo) + np.sqrt(bridge_var)[:, None] * zeta
-        x_hat = rmlmc_step(pot, x0, h, u, b_uh, b_h)
+        frac = ((t - t0) / dt)[:, None]
+        bridge_sd = np.sqrt((dt - (t - t0)) * (t - t0) / dt)[:, None]
+        b_uh = np.empty((samples, d))
+    xs = x0
+    b = np.zeros((samples, d))  # the shared path B_{k dt}
+    for k in range(inner_steps):
+        xi = gen.standard_normal((samples, d))
+        xs = lmc_step(pot, xs, dt, xi)
+        lo, b = b, b + xi * math.sqrt(dt)
+        if scheme == "RMLMC":
+            cell = idx == k
+            b_uh[cell] = lo[cell] + frac[cell] * (b[cell] - lo[cell]) + bridge_sd[cell] * zeta[cell]
+    if scheme == "LMC":
+        x_hat = lmc_step(pot, x0, h, b / math.sqrt(h))
+    else:
+        x_hat = rmlmc_step(pot, x0, h, u, b_uh, b)
     diff = x_hat - xs
     mean_diff = diff.mean(axis=0)
     weak = float(np.linalg.norm(mean_diff))
@@ -506,8 +497,9 @@ def estimate_local_errors(
     """
     if scheme not in ("LMC", "RMLMC"):
         raise ValueError("scheme must be LMC or RMLMC")
-    _check_step(h)
+    _checks.positive(h=h)
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    _checks.finite(x=x)
     if pot.quadratic is not None:
         weak, strong = _exact_local_errors(pot, scheme, x, h)
         return LocalErrorEstimate(weak, strong, 0.0, 0.0, True, False)
@@ -543,6 +535,7 @@ def _draw_init(init, samples: int, d: int, gen: np.random.Generator) -> np.ndarr
     x0 = np.atleast_1d(np.asarray(init, dtype=float))
     if x0.shape != (d,):
         raise ValueError("Dirac initialization must have the potential's dimension")
+    _checks.finite(x0=x0)
     return np.tile(x0, (samples, 1))
 
 
@@ -611,6 +604,8 @@ class AuxTrace:
 
 def gaussian_drift_kernel(drift: float, variance: float):
     """1D kernel x -> x + N(drift, variance)."""
+    _checks.finite(drift=drift)
+    _checks.nonnegative(variance=variance)
     sd = math.sqrt(variance)
 
     def kernel(x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -621,6 +616,7 @@ def gaussian_drift_kernel(drift: float, variance: float):
 
 def toy_kernel_pair(w: float, sigma: float):
     """(Phat, P) for the toy pair: P adds N(0,1), Phat adds N(w, 1+sigma^2)."""
+    _check_toy(w, sigma)
     return gaussian_drift_kernel(w, 1.0 + sigma * sigma), gaussian_drift_kernel(0.0, 1.0)
 
 
@@ -651,6 +647,7 @@ def auxiliary_process_sim(
     """
     if np.ndim(x0) != 0 or np.ndim(y0) != 0:
         raise ValueError("unsupported dimension: auxiliary simulation is 1D only")
+    _checks.finite(x0=x0, y0=y0)
     eta = schedule.eta if hasattr(schedule, "eta") else np.asarray(schedule, dtype=float)
     n = eta.size
     per_group = max(replicas // groups, 2)

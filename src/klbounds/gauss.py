@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _checks
+
 __all__ = [
     "Gaussian",
     "kl_gaussian",
@@ -195,6 +197,7 @@ def renyi_gaussian(order: float, p: Gaussian, q: Gaussian) -> float:
     fails to be positive definite.  At order -> 1 this converges to
     kl_gaussian.  A value that roundoff takes below 0 is returned as 0.
     """
+    _checks.finite(order=order)
     if not order > 1.0:
         raise ValueError("Renyi order must be > 1")
     _check_dims(p, q)
@@ -232,12 +235,9 @@ def _sqrt1p_minus_one(x: float) -> float:
 
 def _check_toy(w: float, sigma: float, n: int = 1) -> None:
     """The toy kernel pair's checks: finite w, finite sigma >= 0 and n >= 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not math.isfinite(w):
-        raise ValueError(f"w must be finite, got {w!r}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    _checks.count("n", n)
+    _checks.finite(w=w)
+    _checks.nonnegative(sigma=sigma)
 
 
 def toy_exact_kl(n: int, w: float, sigma: float) -> float:
@@ -260,6 +260,7 @@ def toy_exact_w2(n: int, w: float, sigma: float) -> float:
 
 def toy_laws(n: int, w: float, sigma: float) -> tuple[Gaussian, Gaussian]:
     """N-step laws (delta_0 Phat^n, delta_0 P^n) of the toy kernels."""
+    _check_toy(w, sigma, n)
     hat = Gaussian(np.array([n * w]), np.array([[n * (1.0 + sigma * sigma)]]))
     ref = Gaussian(np.array([0.0]), np.array([[float(n)]]))
     return hat, ref

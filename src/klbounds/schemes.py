@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from . import _checks
+
 __all__ = [
     "langevin_kernel_params",
     "lmc_local_errors",
@@ -35,12 +37,6 @@ SETTINGS = ("SLC", "WLC", "LSI")
 PLAN_SCHEMES = ("LMC", "LMC_SMOOTH", "RMLMC")
 
 
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def langevin_kernel_params(alpha: float, beta: float, h: float) -> tuple[float, float, float]:
     """Exact (L, gamma, c) of the Langevin diffusion run for time h.
 
@@ -48,9 +44,8 @@ def langevin_kernel_params(alpha: float, beta: float, h: float) -> tuple[float, 
     at alpha = 0); c = alpha / (2 (e^{2 alpha h} - 1)) (limit 1/(4h)).
     Valid for alpha of either sign with alpha <= beta.
     """
-    _require_finite(alpha=alpha, beta=beta, h=h)
-    if h <= 0.0:
-        raise ValueError("h must be > 0")
+    _checks.finite(alpha=alpha, beta=beta)
+    _checks.positive(h=h)
     if alpha > beta:
         raise ValueError("alpha must be <= beta")
     big_l = math.exp(-alpha * h)
@@ -63,12 +58,10 @@ def langevin_kernel_params(alpha: float, beta: float, h: float) -> tuple[float, 
     return big_l, gamma, c
 
 
-def _require_step(h: float, beta: float):
-    _require_finite(h=h, beta=beta)
-    if h <= 0.0:
-        raise ValueError("h must be > 0")
-    if beta < 0.0:
-        raise ValueError("beta must be >= 0")
+def _require_step(h: float, beta: float, **levels: float):
+    """A formula's inputs: h > 0, beta and every level >= 0, and h <= 1/beta."""
+    _checks.positive(h=h)
+    _checks.nonnegative(beta=beta, **levels)
     if beta > 0.0 and h > 1.0 / beta:
         raise ValueError("requires h <= 1/beta")
 
@@ -79,14 +72,14 @@ def lmc_local_errors(beta: float, d: int, h: float, grad_norm: float) -> tuple[f
     e_strong = beta h^2 |grad V(x)| + beta sqrt(d) h^{3/2}; the weak level
     uses the trivial bound e_weak = e_strong.
     """
-    _require_step(h, beta)
+    _require_step(h, beta, grad_norm=grad_norm)
     e_strong = beta * h * h * grad_norm + beta * math.sqrt(d) * h**1.5
     return e_strong, e_strong
 
 
 def lmc_cross_reg(beta: float, d: int, h: float, grad_norm: float) -> tuple[float, float]:
     """LMC cross-regularity: c' = 1 / h and b = sqrt(beta^2 h^3 grad^2 + beta^2 d h^2)."""
-    _require_step(h, beta)
+    _require_step(h, beta, grad_norm=grad_norm)
     c_prime = 1.0 / h
     b2 = beta**2 * h**3 * grad_norm**2 + beta**2 * d * h**2
     return c_prime, math.sqrt(b2)
@@ -97,7 +90,7 @@ def lmc_smooth_weak_error(
 ) -> float:
     """Improved LMC weak error under |grad Laplacian V| <= zeta0 + zeta1 |grad V|:
     (beta+zeta1) h^2 grad + (beta+zeta1) beta sqrt(d) h^{5/2} + zeta0 h^2."""
-    _require_step(h, beta)
+    _require_step(h, beta, zeta0=zeta0, zeta1=zeta1, grad_norm=grad_norm)
     return (
         (beta + zeta1) * h * h * grad_norm
         + (beta + zeta1) * beta * math.sqrt(d) * h**2.5
@@ -108,12 +101,11 @@ def lmc_smooth_weak_error(
 def rmlmc_local_errors(beta: float, d: int, h: float, grad_norm: float) -> tuple[float, float]:
     """RM-LMC local errors: the weak level gains a factor of h over LMC.
 
-    e_weak = beta^2 h^3 grad + beta^2 sqrt(d) h^{5/2};
-    e_strong = beta h^2 grad + beta sqrt(d) h^{3/2}.
+    e_weak = beta^2 h^3 grad + beta^2 sqrt(d) h^{5/2}; e_strong is the LMC
+    level beta h^2 grad + beta sqrt(d) h^{3/2}.
     """
-    _require_step(h, beta)
+    _, e_strong = lmc_local_errors(beta, d, h, grad_norm)
     e_weak = beta**2 * h**3 * grad_norm + beta**2 * math.sqrt(d) * h**2.5
-    e_strong = beta * h * h * grad_norm + beta * math.sqrt(d) * h**1.5
     return e_weak, e_strong
 
 
@@ -123,28 +115,26 @@ def rmlmc_cross_reg(beta: float, d: int, h: float, grad_norm: float) -> tuple[fl
     c' = log(1/(beta h)) / h -- a log(1/(beta h)) inflation of the LMC
     value -- while b keeps the LMC expression.
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be > 0")
-    _require_finite(h=h, beta=beta)
-    if h <= 0.0:
-        raise ValueError("h must be > 0")
+    _checks.positive(beta=beta, h=h)
     if h >= 1.0 / beta:
         raise ValueError("requires h < 1/beta")
-    c_prime = math.log(1.0 / (beta * h)) / h
-    b2 = beta**2 * h**3 * grad_norm**2 + beta**2 * d * h**2
-    return c_prime, math.sqrt(b2)
+    _, b = lmc_cross_reg(beta, d, h, grad_norm)
+    return math.log(1.0 / (beta * h)) / h, b
 
 
 def gradient_bound(
     beta: float, d: int, w2_to_pi: float = math.inf, kl_to_pi: float = math.inf
 ) -> float:
-    """Bound on E_mu |grad V|^2: beta d + min(beta^2 W2^2, beta KL)."""
-    if beta < 0.0 or d < 0 or w2_to_pi < 0.0 or kl_to_pi < 0.0:
-        raise ValueError("inputs must be >= 0")
-    correction = min(beta**2 * w2_to_pi**2, beta * kl_to_pi)
-    if not math.isfinite(correction):
-        correction = 0.0 if beta == 0.0 else correction
-    return beta * d + correction
+    """Bound on E_mu |grad V|^2: beta d + min(beta^2 W2^2, beta KL).
+
+    An unknown distance is inf, its default.
+    """
+    _checks.nonnegative(beta=beta)
+    _checks.count("d", d, least=0)
+    _checks.level(w2_to_pi=w2_to_pi, kl_to_pi=kl_to_pi)
+    if beta == 0.0:  # no gradient, whatever the distances (0 * inf would be nan)
+        return 0.0
+    return beta * d + min(beta**2 * w2_to_pi**2, beta * kl_to_pi)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +189,7 @@ def _core_and_h(scheme: str, setting: str, p: PlanParams) -> tuple[float, float]
         kappa = beta / p.alpha
     if setting == "WLC":
         w = p.w2_init
-        if w is None or w <= 0.0:
+        if w is None:
             raise ValueError("WLC planning requires w2_init = W2(mu0, pi) > 0")
     if scheme == "LMC":
         if setting == "SLC" or setting == "LSI":
@@ -245,8 +235,6 @@ def _core_and_h(scheme: str, setting: str, p: PlanParams) -> tuple[float, float]
 
 
 def _check_eps_range(scheme: str, setting: str, p: PlanParams):
-    if p.eps <= 0.0:
-        raise ValueError("eps must be > 0")
     root_d = math.sqrt(p.d)
     if setting == "WLC":
         return
@@ -280,10 +268,11 @@ def plan_iterations(
         raise ValueError(f"setting must be one of {SETTINGS}")
     if scheme not in PLAN_SCHEMES:
         raise ValueError(f"scheme must be one of {PLAN_SCHEMES}")
-    if constant <= 0.0:
-        raise ValueError("constant must be > 0")
-    if params.beta <= 0.0 or params.d < 1:
-        raise ValueError("beta must be > 0 and d >= 1")
+    _checks.positive(constant=constant, beta=params.beta, eps=params.eps)
+    _checks.finite(alpha=params.alpha, zeta0=params.zeta0, zeta1=params.zeta1)
+    if params.w2_init is not None:
+        _checks.positive(w2_init=params.w2_init)
+    _checks.count("d", params.d)
     if setting in ("SLC", "LSI") and params.alpha <= 0.0:
         raise ValueError(f"{setting} requires alpha > 0")
     _check_eps_range(scheme, setting, params)

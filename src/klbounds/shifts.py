@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
+
 __all__ = [
     "FeasibilityError",
     "SimpleError",
@@ -54,20 +56,6 @@ class FeasibilityError(ValueError):
     """Raised when a shift schedule violates the [0,1] / last-entry-1 constraints."""
 
 
-def _check_levels(**levels: float) -> None:
-    """Every level must be finite and >= 0."""
-    for name, value in levels.items():
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-
-def _check_closed_form(n: int, **levels: float) -> None:
-    """A closed form's inputs: n >= 1 and every level finite and >= 0."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_levels(**levels)
-
-
 @dataclass(frozen=True)
 class SimpleError:
     """Additive one-step error level: d_{n+1} = L (1-eta) d_n + a."""
@@ -75,7 +63,7 @@ class SimpleError:
     a: float
 
     def __post_init__(self):
-        _check_levels(a=self.a)
+        _checks.nonnegative(a=self.a)
 
 
 @dataclass(frozen=True)
@@ -90,7 +78,7 @@ class WeakAwareError:
     a1: float
 
     def __post_init__(self):
-        _check_levels(a0=self.a0, a1=self.a1)
+        _checks.nonnegative(a0=self.a0, a1=self.a1)
 
 
 @dataclass(frozen=True)
@@ -106,11 +94,9 @@ class ShiftProblem:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not (math.isfinite(self.L) and self.L > 0.0):
-            raise ValueError(f"L must be finite and > 0, got {self.L!r}")
-        _check_levels(d0=self.d0, c=self.c, c_prime=self.c_prime, b=self.b)
+        _checks.count("n", self.n)
+        _checks.positive(L=self.L)
+        _checks.nonnegative(d0=self.d0, c=self.c, c_prime=self.c_prime, b=self.b)
 
 
 @dataclass(frozen=True)
@@ -227,7 +213,8 @@ def optimal_value_L1(n: int, a: float, d0: float) -> float:
     min sum_{k<n} eta_k^2 d_k^2 subject to the recursion and eta_{n-1}=1:
     (d0 + (n-1) a)^2 / n for d0 >= a, else d0^2 + (n-1) a^2.
     """
-    _check_closed_form(n, a=a, d0=d0)
+    _checks.count("n", n)
+    _checks.nonnegative(a=a, d0=d0)
     if d0 >= a:
         s = d0 + (n - 1) * a
         return s * s / n
@@ -240,7 +227,8 @@ def optimal_shifts_L1(n: int, a: float, d0: float) -> ShiftSchedule:
     eta_k = min(1, ((n-1) a + d0) / (k a + (n-k) d0)) for k < n-1, eta_{n-1} = 1.
     The degenerate instance a = d0 = 0 returns the all-zero-then-one schedule.
     """
-    _check_closed_form(n, a=a, d0=d0)
+    _checks.count("n", n)
+    _checks.nonnegative(a=a, d0=d0)
     eta = np.ones(n)
     num = (n - 1) * a + d0
     for k in range(n - 1):
@@ -271,7 +259,8 @@ def optimal_value_Lgeneral(n: int, a: float, d0: float, L: float) -> float:
     """
     if not 0.0 < L < 1.0:
         raise ValueError("L must lie in (0, 1); use optimal_value_L1 at L = 1")
-    _check_closed_form(n, a=a, d0=d0)
+    _checks.count("n", n)
+    _checks.nonnegative(a=a, d0=d0)
     d0 = max(d0, a)
     e1 = _one_minus_pow(L, 1)
     num = a * _one_minus_pow(L, n - 1) + d0 * L ** (n - 1) * e1
@@ -288,7 +277,8 @@ def optimal_shifts_Lgeneral(n: int, a: float, d0: float, L: float) -> ShiftSched
     """
     if not 0.0 < L < 1.0:
         raise ValueError("L must lie in (0, 1)")
-    _check_closed_form(n, a=a, d0=d0)
+    _checks.count("n", n)
+    _checks.nonnegative(a=a, d0=d0)
     d = max(d0, a)
     eta = np.ones(n)
     e1 = _one_minus_pow(L, 1)
@@ -315,11 +305,16 @@ def final_bound_with_cross_reg(
             * (a (1-L^{n-1}) + L^{n-1} (1-L) d0)^2 / (1-L^{2n}) + b^2,
     and at L = 1 the limit ((n-1) c + c') (d0 + (n-1) a)^2 / n^2 + b^2.
     Equals the exact objective of the uniform-cost optimal schedule under
-    the (c, c', b) costs when d0 >= a.
+    the (c, c', b) costs.  Inputs with d0 < a are clamped to d0 = a, as in
+    optimal_value_Lgeneral: the value is then that schedule's objective for
+    d0 = a, and distances grow with d0, so the same schedule from the true
+    d0 costs no more and the value stays a bound.
     """
     if not 0.0 < L <= 1.0:
         raise ValueError("L must lie in (0, 1]")
-    _check_closed_form(n, a=a, d0=d0, c=c, c_prime=c_prime, b=b)
+    _checks.count("n", n)
+    _checks.nonnegative(a=a, d0=d0, c=c, c_prime=c_prime, b=b)
+    d0 = max(d0, a)
     if L == 1.0:
         s = d0 + (n - 1) * a
         return ((n - 1) * c + c_prime) * s * s / (n * n) + b * b
@@ -350,8 +345,7 @@ def three_phase_schedule(n: int, L: float) -> ShiftSchedule:
     The final entry is always 1.  Where L^{-(n-k)} overflows, the equal
     form (1/L - 1) L^{n-k} / (1 - L^{n-k}) is used.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _checks.count("n", n)
     if not 0.5 <= L <= 2.0:
         raise ValueError("three-phase schedule requires 1/2 <= L <= 2")
     eta = np.ones(n)

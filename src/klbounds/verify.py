@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds, chains, gauss, schemes, shifts
+from . import _checks, bounds, chains, gauss, schemes, shifts
 
 __all__ = [
     "CheckRow",
@@ -31,7 +31,7 @@ __all__ = [
 
 # Spot references, frozen from the exact closed forms.
 TOY_EXACT_KL_SPOT = 0.17342640972002737  # toy_exact_kl(4, 0.1, 1)
-TOY_SIMPLE_BOUND_SPOT = 0.57196537904109979  # kl_simple_bound, same instance
+TOY_SIMPLE_BOUND_SPOT = 0.88971791073526718  # kl_simple_bound, same instance
 LMC_WEAK_SPOT = 0.0048374180359594954  # |e^{-0.1} - 0.9|
 
 
@@ -75,6 +75,9 @@ def suite_toy() -> list[CheckRow]:
 
     The squared-W2 bound dominates the exact squared W2 on the same grid;
     it exceeds it by n w^2, so at w = 0 the two are equal up to rounding.
+    The simple bound is also no lower than the oracle's minimum of its own
+    Simple problem (c = c' = 1, b = b_bar), which is convex, so a schedule
+    backs it.
     """
     rows = [
         _rel_row("toy_exact_spot_n4", gauss.toy_exact_kl(4, 0.1, 1.0), TOY_EXACT_KL_SPOT, 1e-12),
@@ -97,7 +100,11 @@ def suite_toy() -> list[CheckRow]:
                 w2 = bounds.w2_framework_bound(k, n, 0.0).value
                 exact_w2 = gauss.toy_exact_w2(n, w, sigma)
                 tag = f"n{n}_w{w:g}_s{sigma:g}"
+                # c = c' = 1, the toy constants, are the problem's defaults
+                problem = shifts.ShiftProblem(n, k.L, 0.0, shifts.SimpleError(k.a), b=k.b_bar)
+                oracle = shifts.dp_oracle(problem)[1]
                 rows.append(_geq_row(f"toy_simple_{tag}", simple, exact))
+                rows.append(_geq_row(f"toy_simple_oracle_{tag}", simple, oracle * (1.0 - 1e-12)))
                 rows.append(_geq_row(f"toy_certified_{tag}", cert, exact))
                 rows.append(_geq_row(f"toy_w2_{tag}", w2, exact_w2**2 * (1.0 - 1e-12)))
     return rows
@@ -163,8 +170,9 @@ def exact_quadratic_assumptions(lam: float, h: float, n: int, x0: float) -> boun
     c' = e^{-2 lam h} / (1 - e^{-2 lam h}) plus a state-dependent b(x)
     whose L2 maximum is taken over the same iterate laws.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _checks.count("n", n)
+    _checks.positive(lam=lam, h=h)
+    _checks.finite(x0=x0)
     big_l, gamma, c = schemes.langevin_kernel_params(lam, lam, h)
     # second moment about the mode of LMC iterate k: with r = (1 - z)^2 and
     # g_k = sum_{j<k} r^j it is r^k x0^2 + 2h g_k = x0^2 + g_k (2h - (1 - r) x0^2),

@@ -38,16 +38,17 @@ def test_criterion_1_toy_bound_validity():
     exact_spot = gauss.toy_exact_kl(4, 0.1, 1.0)
     simple_spot = bounds.kl_simple_bound(bounds.toy_assumptions(0.1, 1.0), 4, 0.0).value
     # References derived by hand from the closed forms:
-    # exact = (4 w^2 + sigma^2 - log 2)/2, simple = 4 (3a)^2/16 + b^2
+    # exact = (4 w^2 + sigma^2 - log 2)/2, simple = 4 (4a)^2/16 + b^2 (the simple
+    # bound clamps w2_init = 0 up to a)
     a2 = 0.1**2 + (math.sqrt(2.0) - 1.0) ** 2
     b2 = 0.1**2 + 0.5 * (1.0 - math.log(2.0))
     want_exact = 0.5 * (4 * 0.01 + 1.0 - math.log(2.0))
-    want_simple = 4.0 * 9.0 * a2 / 16.0 + b2
+    want_simple = 4.0 * 16.0 * a2 / 16.0 + b2
     spot_ok = (
         abs(exact_spot - want_exact) < 1e-12
         and abs(simple_spot - want_simple) < 1e-12
         and abs(exact_spot - 0.173426) < 1e-6
-        and abs(simple_spot - 0.571965) < 1e-6
+        and abs(simple_spot - 0.889718) < 1e-6
     )
     elapsed = time.perf_counter() - t0
     report(

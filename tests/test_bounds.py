@@ -98,7 +98,7 @@ class TestKlSimple:
     def test_toy_bound_dominates_exact(self):
         k = toy_assumptions(0.1, 1.0)
         val = kl_simple_bound(k, 4, 0.0).value
-        assert val == pytest.approx(0.57196537904109979, rel=1e-12)
+        assert val == pytest.approx(0.88971791073526718, rel=1e-12)
         assert val >= gauss.toy_exact_kl(4, 0.1, 1.0)
 
 

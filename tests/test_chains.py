@@ -125,6 +125,9 @@ def mc_local_errors_by_loop(pot, scheme, x, h, samples, seed, inner_steps):
     d = pot.dimension
     gen = chains._stream(seed, 0)
     dt = h / inner_steps
+    if scheme == "RMLMC":  # the fraction and the bridge noise come before the path
+        u = gen.random(samples)
+        zeta = gen.standard_normal((samples, d))
     db = math.sqrt(dt) * gen.standard_normal((inner_steps, samples, d))
     xs = np.broadcast_to(x, (samples, d)).copy()
     b_grid = np.concatenate([np.zeros((1, samples, d)), np.cumsum(db, axis=0)])
@@ -133,8 +136,6 @@ def mc_local_errors_by_loop(pot, scheme, x, h, samples, seed, inner_steps):
     x0 = np.broadcast_to(x, (samples, d))
     if scheme == "LMC":
         return x0 - h * pot.gradient(x0) + math.sqrt(2.0) * b_grid[-1] - xs
-    u = gen.random(samples)
-    zeta = gen.standard_normal((samples, d))
     t = u * h
     idx = np.minimum((t / dt).astype(int), inner_steps - 1)
     t0 = idx * dt

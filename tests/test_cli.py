@@ -22,7 +22,7 @@ class TestBoundCommand:
         text = out.read_text()
         assert text.startswith("n,mode,value")
         assert "0.17342640972002737" in text  # exact KL
-        assert "0.57196537904109979" in text  # simple bound
+        assert "0.88971791073526718" in text  # simple bound
         assert text.strip().splitlines()[-1].startswith("# tool_version=")
         assert "certified" in capsys.readouterr().out
 

@@ -8,7 +8,8 @@ CSV was written).  The list covers every subcommand: ``sample`` for all
 three schemes, ``local-errors``, ``bound`` for the toy pair and for
 explicit constants, ``shifts`` (at L = 1, and at L = 0.9 with the oracle
 line at n = 8 and 40), ``plan`` and all five ``verify`` suites, plus the
-overflow, NaN-step and NaN toy inputs that must fail cleanly, a misspelt
+overflow input, the NaN step, state, chain start and toy inputs and the
+infinite strong level (certified mode) that must fail cleanly, a misspelt
 config key, keys ``plan`` does not read (``chi2_init``, and ``zeta0`` when
 no LMC_SMOOTH cell is requested) and a flag the subcommand does not take.
 A rejection by the argument parser (``SystemExit``) is recorded as its
@@ -74,6 +75,9 @@ COMMANDS = [
     ("plan-chi2-init", ["plan", *_sets("alpha=1", "beta=2", "d=4", "eps=0.5", "W=3", "chi2_init=5")]),
     ("plan-unused-zeta0", ["plan", *_sets(
         "scheme=RMLMC", "setting=SLC", "alpha=1", "beta=2", "d=4", "eps=0.5", "zeta0=5")]),
+    ("local-errors-nan-x", ["local-errors", *_sets("h=0.1", "x=nan")]),
+    ("sample-nan-x0", ["sample", *_sets("h=0.1", "n=5", "samples=3", "x0=nan")]),
+    ("bound-inf-strong", ["bound", *_sets("n=4", "L=0.9", "c=1", "c_prime=1", "e_strong=inf")]),
 ]
 
 
