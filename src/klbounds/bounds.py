@@ -180,6 +180,10 @@ def kl_framework_bound(
         if not 0.5 <= k.L <= 2.0:
             raise ValueError("certified mode requires 1/2 <= L <= 2")
         _checks.nonnegative(e_weak=k.e_weak, e_strong=k.e_strong)
+        if not math.isfinite(a1):
+            raise ValueError(f"certified mode needs a finite e_weak + gamma * e_strong, got inf "
+                             f"from e_weak={k.e_weak!r}, gamma={k.gamma!r}, "
+                             f"e_strong={k.e_strong!r}")
         schedule = shifts.three_phase_schedule(n, k.L)
         problem = shifts.ShiftProblem(
             n, k.L, w2_init, shifts.WeakAwareError(a0, a1), c=k.c, c_prime=k.c_prime, b=0.0

@@ -14,6 +14,7 @@ with a fine inner Euler grid for the diffusion endpoint.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -439,6 +440,7 @@ def _mc_local_errors(pot, scheme, x, h, samples, seed, inner_steps):
     Brownian path, which is accumulated step by step: memory is O(samples d).
     """
     _checks.count("inner_steps", inner_steps, least=64)
+    _checks.count("samples", samples, least=2)  # the standard errors need two
     d = pot.dimension
     gen = _stream(seed, 0)
     dt = h / inner_steps
@@ -492,8 +494,9 @@ def estimate_local_errors(
 
     Weak error is the norm of the mean gap, strong error the L2 distance of
     the synchronously coupled pair.  Quadratic targets are handled exactly
-    (zero standard errors); other potentials use coupled Monte Carlo, and
-    the estimate is flagged underpowered when 3 standard errors exceed it.
+    (zero standard errors); other potentials use coupled Monte Carlo over
+    samples >= 2 paths, and the estimate is flagged underpowered when 3
+    standard errors exceed it.
     """
     if scheme not in ("LMC", "RMLMC"):
         raise ValueError("scheme must be LMC or RMLMC")
@@ -580,15 +583,235 @@ def simulate_chain(pot: PotentialSpec, config: SamplerConfig, init) -> ChainResu
     return ChainResult(iterates=out)
 
 
+# ---------------------------------------------------------------------------
+# CSV output: "%.17g" over whole arrays
+# ---------------------------------------------------------------------------
+#
+# For 1e-4 <= |v| < 1e16, where "%.17g" prints fixed-point, a numpy kernel
+# finds the 17 significant digits exactly and spells each field as uint32
+# words whose bytes are its characters padded with NUL; one bytes.translate
+# per chunk drops the NULs.  Every other value (0, |v| < 1e-4, |v| >= 1e16,
+# inf, nan) is formatted by "%.17g" itself.
+
+_ZERO, _DOT, _COMMA, _MINUS = b"0.,-"
+# 10^k for k = 0..22, exact doubles, with their Veltkamp splits; 10^k as int64 to 10^18
+_SPLIT = 134217729.0  # 2^27 + 1
+_P10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
+_P10_HI = _SPLIT * _P10 - (_SPLIT * _P10 - _P10)
+_P10_LO = _P10 - _P10_HI
+_P10_INT = 10 ** np.arange(19, dtype=np.int64)
+# values rendered at a time: the kernel's temporaries stay well under 1 MB
+_CHUNK = 2048
+
+
+def _words(codes: np.ndarray, dtype=np.uint32) -> np.ndarray:
+    """The words whose bytes are the rows of a byte-code array (0 is NUL)."""
+    return np.ascontiguousarray(codes, dtype=np.uint8).view(dtype)[..., 0]
+
+
+def _nul_leading(codes: np.ndarray) -> np.ndarray:
+    """Byte codes with each row's leading "0"s replaced by NUL."""
+    out = codes.copy()
+    lead = np.ones(len(codes), bool)
+    for column in out.T:
+        lead &= column == _ZERO
+        column[lead] = 0
+    return out
+
+
+def _right_align(out: np.ndarray, columns: list) -> None:
+    """Write the columns (scalars or (rows,) byte codes) at the right of out."""
+    for i, column in enumerate(columns, out.shape[1] - len(columns)):
+        out[:, i] = column
+
+
+@functools.cache
+def _tables():
+    """The kernel's lookup tables, built from the words "0000".."9999" on
+    first use, so an import that writes no CSV does not pay for them.
+
+    words: uint32 words of four digits, as they are at [0, 10^4), with
+    trailing zeros as NUL at [10^4, 2 10^4) (0 is all NUL), with leading
+    zeros as NUL at [2 10^4, 3 10^4) (0 is "0"), and all NUL at 3 10^4.
+
+    head: the first two words of a fast field, as one uint64.  For |v| >= 1
+    an entry is chosen by (size, sign, point) and u, the last three integer
+    digits.  Sizes 0-2 have 1-3 integer digits, all in u, and spell
+    "," [-] u [.] right-aligned in the 8 bytes.  Size 3 has more, spelled by
+    integer words between the two head words, which hold "," [-] and u [.]
+    apart.  The "." is left out when the fraction is all zeros.  For
+    |v| < 1 an entry is chosen by (zeros, sign) and u, the first significant
+    digit: "," [-] "0." then the zeros and u.  offset gives, per
+    (e + 4, sign, no point), the entry that u is added to.
+    """
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + _ZERO
+    words = np.concatenate([_words(digits), _words(_nul_leading(digits[:, ::-1])[:, ::-1]),
+                            _words(np.hstack([_nul_leading(digits[:, :3]), digits[:, 3:]])), [0]])
+    codes = np.zeros((8520, 8), np.uint8)
+    offset = np.zeros((20, 2, 2), np.intp)
+    last3 = list(digits[:1000, 1:].T)
+    row = 0
+    for size, rows in enumerate((10, 100, 1000, 1000)):
+        for neg in (0, 1):
+            for no_point in (0, 1):
+                sign = [_COMMA, _MINUS][:1 + neg]
+                body = [c[:rows] for c in last3[2 - min(size, 2):]] + [_DOT] * (1 - no_point)
+                block = codes[row:row + rows]
+                if size < 3:
+                    _right_align(block, sign + body)
+                else:
+                    _right_align(block[:, :4], sign)
+                    _right_align(block[:, 4:], body)
+                offset[4 + size if size < 3 else slice(7, None), neg, no_point] = row
+                row += rows
+    for zeros in range(4):
+        for neg in (0, 1):
+            sign = [_COMMA, _MINUS][:1 + neg]
+            _right_align(codes[row:row + 10], sign + [_ZERO, _DOT] + [_ZERO] * zeros
+                         + [np.arange(10) + _ZERO])
+            offset[3 - zeros, neg] = row
+            row += 10
+    tables = words, _words(codes, np.uint64), offset.ravel()
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+_SEP, _NEWLINE = _words(np.array([[_COMMA, 0, 0, 0], [ord("\n"), 0, 0, 0]]))
+
+
+def _int_words(x: np.ndarray, words: int) -> np.ndarray:
+    """(len(x), words) words spelling the ints 0 <= x < 10^(4 words), right-aligned.
+
+    Word t from the right is x's digits t: NUL-led where no higher word is
+    non-zero, and all NUL where x < 10^(4t) for t > 0.
+    """
+    table = _tables()[0]
+    out = np.empty((len(x), words), np.uint32)
+    for t in range(words):
+        idx = x // _P10_INT[4 * t] % 10000 + 20000 * (x < _P10_INT[4 * t + 4])
+        if t:
+            idx[x < _P10_INT[4 * t]] = 30000
+        out[:, words - 1 - t] = table[idx]
+    return out
+
+
+def _word_count(top: int) -> int:
+    """Words that 0..top need."""
+    return -(-len(str(top)) // 4)
+
+
+def _times_pow10(a: np.ndarray, k: np.ndarray):
+    """(p, err) with p + err = a 10^k exactly: Dekker's product (numpy has no FMA)."""
+    bh, bl = _P10_HI[k], _P10_LO[k]
+    p = a * _P10[k]
+    ah = a * _SPLIT
+    t = ah - a
+    ah -= t  # the high half of a
+    al = a - ah
+    err = ah * bh
+    err -= p
+    ah *= bl
+    err += ah
+    np.multiply(al, bh, out=t)
+    err += t
+    al *= bl
+    err += al
+    return p, err
+
+
+def _significand(a: np.ndarray):
+    """(e, n) for 1e-4 <= a < 1e16: a rounded half-even to 17 significant
+    digits is n 10^(e - 16), with 10^16 <= n < 10^17."""
+    e = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _times_pow10(a, 16 - e)
+    # next to a power of ten log10 may be one off: the exact product then
+    # lies outside [1e16, 1e17), and e moves by one
+    off = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+    if off.size:
+        h, l = hi[off], lo[off]
+        up = (h > 1e17) | ((h == 1e17) & (l >= 0))
+        down = (h < 1e16) | ((h == 1e16) & (l < 0))
+        e[off] += up.astype(np.intp) - down
+        hi[off], lo[off] = _times_pow10(a[off], 16 - e[off])
+    # hi > 2^53 is an even integer, so rint's half-even on lo is half-even on
+    # hi + lo.  The sum never rounds up to 10^17: the doubles below 10^(e+1)
+    # lie at least 2^-53 10^(e+1) from it, twenty times the half unit of the
+    # 17th digit (and 0.001, 0.01 and 0.1 round up to their doubles).
+    n = hi.astype(np.int64)
+    n += np.rint(lo).astype(np.int64)
+    return e, n
+
+
+def _field_words(v: np.ndarray) -> np.ndarray:
+    """(len(v), width) words spelling "," + "%.17g" % x for each x in v, NUL-padded."""
+    a = np.abs(v)
+    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)))
+    a[slow] = 1.0  # placeholder: these fields are overwritten below
+    e, f16 = _significand(a)  # all 17 digits, until q is split off
+    shift = np.maximum(e, 0)
+    div = _P10_INT[16 - shift]
+    q = f16 // div  # the integer part; where |v| < 1, the first digit
+    f16 -= q * div
+    f16 *= _P10_INT[shift]  # the 16 digits after q, left-aligned
+    hi8 = f16 // 10**8
+    lo8 = f16 - hi8 * 10**8
+    f0 = hi8 // 10000
+    f2 = lo8 // 10000
+    f1 = hi8 - f0 * 10000
+    f3 = lo8 - f2 * 10000
+    j = q // 1000  # the integer digits before the last three
+    words, heads, head_offset = _tables()
+    head = heads[head_offset[4 * e + 16 + 2 * np.signbit(v) + (f16 == 0)] + (q - 1000 * j)]
+    texts = [("," + "%.17g" % x).encode() for x in v[slow].tolist()]
+    top = int(j.max(initial=0))
+    width = max(6 + (_word_count(top) if top else 0), -(-max(map(len, texts), default=0) // 4))
+    k = width - 6
+    out = np.empty((v.size, width), np.uint32)
+    if k:
+        head = head.view(np.uint32).reshape(-1, 2)
+        out[:, 0] = head[:, 0]
+        out[:, 1:k + 1] = _int_words(j, k)
+        out[j == 0, 1:k + 1] = 0
+        out[:, k + 1] = head[:, 1]
+    else:
+        out.view(np.uint64)[:, 0] = head
+    # a fraction word drops its trailing zeros when no later digit is non-zero
+    out[:, k + 2] = words[f0 + 10000 * (f16 % 10**12 == 0)]
+    out[:, k + 3] = words[f1 + 10000 * (lo8 == 0)]
+    out[:, k + 4] = words[f2 + 10000 * (f3 == 0)]
+    out[:, k + 5] = words[f3 + 10000]
+    if texts:
+        out[slow] = _words(np.array(texts, f"S{4 * width}").view(np.uint8).reshape(-1, width, 4))
+    return out
+
+
 def dump_samples_csv(path, result: ChainResult) -> None:
-    """Write iterates as CSV rows `replica, step, coord_0..coord_{d-1}`."""
-    samples, _, d = result.iterates.shape
-    row = "%d,%d," + ",".join(["%.17g"] * d) + "\n"
+    """Write iterates as CSV rows `replica, step, coord_0..coord_{d-1}`.
+
+    Each coordinate is written as ``"%.17g" % v``, byte for byte.  Blocks of
+    about _CHUNK values (whole replicas, or steps of one replica) are
+    rendered at a time, so the memory used beyond the iterates is bounded by
+    the block, not by samples x steps x d, whatever the iterates' layout.
+    """
+    samples, steps, d = result.iterates.shape
+    replicas = max(1, round(_CHUNK / (steps * d)))
+    span = steps if steps * d <= _CHUNK else max(1, _CHUNK // d)
+    replica_words, step_words = _word_count(samples - 1), _word_count(steps - 1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("replica,step," + ",".join(f"coord_{j}" for j in range(d)) + "\n")
-        for r in range(samples):
-            steps = result.iterates[r].tolist()
-            fh.write("".join(row % (r, s, *coords) for s, coords in enumerate(steps)))
+        for r in range(0, samples, replicas):
+            for s in range(0, steps, span):
+                block = np.asarray(result.iterates[r:r + replicas, s:s + span], dtype=float)
+                reps, block_steps = block.shape[:2]
+                rows = reps * block_steps
+                line = np.concatenate([
+                    _int_words(np.repeat(np.arange(r, r + reps), block_steps), replica_words),
+                    np.full((rows, 1), _SEP),
+                    _int_words(np.tile(np.arange(s, s + block_steps), reps), step_words),
+                    _field_words(block.ravel()).reshape(rows, -1),
+                    np.full((rows, 1), _NEWLINE)], axis=1)
+                fh.write(line.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 # ---------------------------------------------------------------------------

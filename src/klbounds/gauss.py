@@ -71,9 +71,10 @@ class Gaussian:
     relative) and PSD up to roundoff; degenerate (singular) covariances are
     allowed and represent point masses in the flat directions.  Scalars are
     accepted for 1D convenience.  The constructor decomposes ``cov`` once
-    (``eigh``) and caches the spectrum, ascending, for the divergences; a law
-    already known in an orthonormal eigenbasis is built from it by the
-    private ``_from_eig``, which skips that ``eigh``.
+    (``eigh``, or a sort of the diagonal when ``cov`` is diagonal) and caches
+    the spectrum, ascending, for the divergences; a law already known in an
+    orthonormal eigenbasis is built from it by the private ``_from_eig``,
+    which skips that ``eigh``.
     """
 
     mean: np.ndarray
@@ -90,7 +91,14 @@ class Gaussian:
         if np.max(np.abs(c - c.T)) > PSD_TOL * scale:
             raise ValueError("covariance is not symmetric")
         c = 0.5 * (c + c.T)
-        lam, vecs = np.linalg.eigh(c)
+        diag = np.diagonal(c)
+        if np.count_nonzero(c) == np.count_nonzero(diag):
+            # diagonal (a Dirac start too): the spectrum is the diagonal, in a
+            # stable ascending order, and the basis the matching permutation
+            order = np.argsort(diag, kind="stable")
+            lam, vecs = diag[order], np.eye(m.size)[:, order]
+        else:
+            lam, vecs = np.linalg.eigh(c)
         self._freeze(m, c, _clip_spectrum(lam), vecs)
 
     @classmethod

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import _checks
 
@@ -58,6 +58,22 @@ def langevin_kernel_params(alpha: float, beta: float, h: float) -> tuple[float, 
     return big_l, gamma, c
 
 
+def _or_inf(formula: Callable[[], float]) -> float:
+    """formula(), or inf where it overflows.
+
+    Python's float ``**`` raises OverflowError where ``*`` would give inf,
+    a divisor that underflowed to 0 raises ZeroDivisionError, and 0 times an
+    overflowed inf gives nan.  Each returns inf, as ``bounds._pow`` does: a
+    value too large for a float, never below the true one.  Where nothing
+    overflows the bits are formula()'s.
+    """
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+    return math.inf if math.isnan(value) else value
+
+
 def _require_step(h: float, beta: float, **levels: float):
     """A formula's inputs: h > 0, beta and every level >= 0, and h <= 1/beta."""
     _checks.positive(h=h)
@@ -73,7 +89,7 @@ def lmc_local_errors(beta: float, d: int, h: float, grad_norm: float) -> tuple[f
     uses the trivial bound e_weak = e_strong.
     """
     _require_step(h, beta, grad_norm=grad_norm)
-    e_strong = beta * h * h * grad_norm + beta * math.sqrt(d) * h**1.5
+    e_strong = _or_inf(lambda: beta * h * h * grad_norm + beta * math.sqrt(d) * h**1.5)
     return e_strong, e_strong
 
 
@@ -81,8 +97,8 @@ def lmc_cross_reg(beta: float, d: int, h: float, grad_norm: float) -> tuple[floa
     """LMC cross-regularity: c' = 1 / h and b = sqrt(beta^2 h^3 grad^2 + beta^2 d h^2)."""
     _require_step(h, beta, grad_norm=grad_norm)
     c_prime = 1.0 / h
-    b2 = beta**2 * h**3 * grad_norm**2 + beta**2 * d * h**2
-    return c_prime, math.sqrt(b2)
+    b = _or_inf(lambda: math.sqrt(beta**2 * h**3 * grad_norm**2 + beta**2 * d * h**2))
+    return c_prime, b
 
 
 def lmc_smooth_weak_error(
@@ -91,11 +107,11 @@ def lmc_smooth_weak_error(
     """Improved LMC weak error under |grad Laplacian V| <= zeta0 + zeta1 |grad V|:
     (beta+zeta1) h^2 grad + (beta+zeta1) beta sqrt(d) h^{5/2} + zeta0 h^2."""
     _require_step(h, beta, zeta0=zeta0, zeta1=zeta1, grad_norm=grad_norm)
-    return (
+    return _or_inf(lambda: (
         (beta + zeta1) * h * h * grad_norm
         + (beta + zeta1) * beta * math.sqrt(d) * h**2.5
         + zeta0 * h * h
-    )
+    ))
 
 
 def rmlmc_local_errors(beta: float, d: int, h: float, grad_norm: float) -> tuple[float, float]:
@@ -105,7 +121,7 @@ def rmlmc_local_errors(beta: float, d: int, h: float, grad_norm: float) -> tuple
     level beta h^2 grad + beta sqrt(d) h^{3/2}.
     """
     _, e_strong = lmc_local_errors(beta, d, h, grad_norm)
-    e_weak = beta**2 * h**3 * grad_norm + beta**2 * math.sqrt(d) * h**2.5
+    e_weak = _or_inf(lambda: beta**2 * h**3 * grad_norm + beta**2 * math.sqrt(d) * h**2.5)
     return e_weak, e_strong
 
 
@@ -119,7 +135,7 @@ def rmlmc_cross_reg(beta: float, d: int, h: float, grad_norm: float) -> tuple[fl
     if h >= 1.0 / beta:
         raise ValueError("requires h < 1/beta")
     _, b = lmc_cross_reg(beta, d, h, grad_norm)
-    return math.log(1.0 / (beta * h)) / h, b
+    return _or_inf(lambda: math.log(1.0 / (beta * h)) / h), b
 
 
 def gradient_bound(
@@ -134,7 +150,7 @@ def gradient_bound(
     _checks.level(w2_to_pi=w2_to_pi, kl_to_pi=kl_to_pi)
     if beta == 0.0:  # no gradient, whatever the distances (0 * inf would be nan)
         return 0.0
-    return beta * d + min(beta**2 * w2_to_pi**2, beta * kl_to_pi)
+    return _or_inf(lambda: beta * d + min(beta**2 * w2_to_pi**2, beta * kl_to_pi))
 
 
 # ---------------------------------------------------------------------------

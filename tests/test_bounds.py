@@ -157,6 +157,14 @@ class TestKlFramework:
         with pytest.raises(ValueError):
             kl_framework_bound(k, 3, 1.0, mode="unknown")
 
+    def test_certified_rejects_overflowed_a1(self):
+        k = KernelAssumptions(L=0.9, gamma=1e300, c=1, c_prime=1, e_weak=1, e_strong=1e10)
+        match = (r"e_weak \+ gamma \* e_strong.*e_weak=1, gamma=1e\+300, "
+                 r"e_strong=10000000000\.0")
+        with pytest.raises(ValueError, match=match):
+            kl_framework_bound(k, 4, 1.0, mode="certified")
+        assert kl_framework_bound(k, 4, 1.0).value == math.inf
+
     def test_long_contractive_horizon_is_finite(self):
         # n (-ln L) = 10000 * 0.105 > 709, where L^{-n} overflows
         k = KernelAssumptions(L=0.9, c=1.0, c_prime=1.0, e_strong=0.1)

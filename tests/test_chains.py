@@ -3,7 +3,10 @@ coupled Monte Carlo against the exact Gaussian path."""
 
 import math
 import sys
+import tempfile
+import tracemalloc
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -386,6 +389,15 @@ class TestLocalErrors:
             est = estimate_local_errors(quartic, scheme, 0.7, 0.05, samples=100_000, seed=3)
             assert est.weak <= est.strong + 3 * (est.weak_stderr + est.strong_stderr)
 
+    def test_mc_needs_two_samples(self):
+        # one sample has no spread: the standard errors would be nan (ddof = 1)
+        cubic = PotentialSpec(1, lambda x: np.asarray(x, float) ** 3 + np.asarray(x, float))
+        for scheme in ("LMC", "RMLMC"):
+            with pytest.raises(ValueError, match="samples must be >= 2, got 1"):
+                estimate_local_errors(cubic, scheme, 0.7, 0.05, samples=1)
+        est = estimate_local_errors(cubic, "LMC", 0.7, 0.05, samples=2)
+        assert np.isfinite([est.weak_stderr, est.strong_stderr]).all()
+
     @pytest.mark.parametrize("d", [1, 50])
     def test_rmlmc_strong_matches_node_loop(self, d):
         rng = np.random.default_rng(d)
@@ -498,16 +510,47 @@ class TestSimulateChain:
     def test_csv_bytes_match_per_value_formatting(self, tmp_path):
         edge = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1.7976931348623157e308,
                 0.1, 1.0 / 3.0, 123456789.0, 1e-7, math.inf, math.nan]
-        iterates = np.array(edge * 5).reshape(3, 4, 5)
+        # the fixed-point window 1e-4 <= |v| < 1e16 and its edges: a round-half-even
+        # tie, and 17th digits that carry through 9s into stripped zeros
+        window = [1e-4, np.nextafter(1e-4, 0.0), 9.999999999999999e15, np.nextafter(1e16, 0.0),
+                  1e16, 123456789012345.625, 0.30000000000000004, 1.2394366198586,
+                  0.84247755308646, 99999.99999999999, 1234.5, 1e15 + 0.5, 0.5]
+        edge += window + [-v for v in window]
+        iterates = np.array(edge * 3).reshape(3, 2, 19)
         res = chains.ChainResult(iterates)
         path = tmp_path / "samples.csv"
         dump_samples_csv(path, res)
-        want = "replica,step," + ",".join(f"coord_{j}" for j in range(5)) + "\n"
+        want = "replica,step," + ",".join(f"coord_{j}" for j in range(19)) + "\n"
         for r in range(3):
-            for s in range(4):
+            for s in range(2):
                 want += f"{r},{s}," + ",".join("%.17g" % v for v in iterates[r, s]) + "\n"
         assert path.read_bytes() == want.encode()
         assert "-0," in want and "4.9406564584124654e-324" in want
+        assert ",123456789012345.62," in want and ",1.2394366198586," in want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(width=64) | st.integers(0, 2**64 - 1).map(
+        lambda bits: float(np.uint64(bits).view(np.float64))), min_size=1, max_size=40))
+    def test_csv_field_matches_per_value_formatting(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "samples.csv"
+            dump_samples_csv(path, chains.ChainResult(np.array(values).reshape(1, 1, -1)))
+            row = path.read_text().splitlines()[1]
+        assert row == "0,0," + ",".join("%.17g" % v for v in values)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_csv_memory_bounded_by_chunk(self, tmp_path, order):
+        iterates = np.random.default_rng(0).standard_normal((400, 201, 10))
+        res = chains.ChainResult(np.asarray(iterates, order=order))
+        tracemalloc.start()
+        try:
+            dump_samples_csv(tmp_path / "samples.csv", res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the iterates take 6.4 MB; the writer holds one block of them at a time,
+        # in either memory layout
+        assert peak < 1e6
 
 
 class TestAuxiliaryProcess:
@@ -601,7 +644,9 @@ class TestPotentialSpec:
         for scheme in ("LMC", "RMLMC"):
             estimate_local_errors(pot, scheme, np.ones(5), 0.1)
         simulate_chain(pot, SamplerConfig("ExactDiffusion", 0.1, 2, samples=3), np.zeros(5))
-        assert calls and not any(calls)  # only Gaussian covariances were decomposed
+        assert not calls  # neither the precision nor the diagonal Dirac start
+        gauss.Gaussian(np.zeros(2), [[2.0, 1.0], [1.0, 2.0]])
+        assert calls == [False]  # the hook does see a covariance that needs eigh
 
     def test_tag_rejects_bad_input(self):
         with pytest.raises(ValueError, match="finite"):

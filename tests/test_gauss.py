@@ -253,6 +253,44 @@ def random_basis(rng, d):
     return np.linalg.qr(rng.standard_normal((d, d)))[0]
 
 
+class TestDiagonalCovariance:
+    def test_matches_eigh_path(self, monkeypatch):
+        """A diagonal covariance skips eigh; every output agrees with the eigh basis."""
+        rng = np.random.default_rng(9)
+        eigh, built = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: built.append(a)
+                            or eigh(a, *args, **kw))
+
+        def agree(a, b):
+            assert a == b or math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15)
+
+        for d in (1, 3, 8):
+            for _ in range(10):
+                # repeated entries, and zeros in the first law (a degenerate one)
+                diags = [rng.choice([0.0, 0.25, 1.0, 3.0], d), rng.choice([0.25, 1.0, 3.0], d),
+                         rng.choice([0.5, 2.0], d)]
+                means = rng.standard_normal((3, d))
+                fast = [Gaussian(m, np.diag(c)) for m, c in zip(means, diags)]
+                assert not built
+                slow = [Gaussian._from_eig(m, *eigh(np.diag(c))) for m, c in zip(means, diags)]
+                for f, s in zip(fast, slow):
+                    np.testing.assert_allclose(f.sqrt_cov(), s.sqrt_cov(), rtol=1e-12, atol=0)
+                for i, j in ((0, 1), (1, 2), (2, 1), (0, 2)):
+                    agree(kl_gaussian(fast[i], fast[j]), kl_gaussian(slow[i], slow[j]))
+                    agree(w2_gaussian(fast[i], fast[j]), w2_gaussian(slow[i], slow[j]))
+                    agree(w2_gaussian(fast[j], fast[i]), w2_gaussian(slow[j], slow[i]))
+                    agree(renyi_gaussian(2.0, fast[i], fast[j]),
+                          renyi_gaussian(2.0, slow[i], slow[j]))
+                built.clear()
+
+    def test_dirac_spectrum_and_basis(self):
+        g = Gaussian(np.ones(3), np.diag([2.0, 0.0, 2.0]))
+        assert np.array_equal(g._eigvals, [0.0, 2.0, 2.0])
+        assert np.array_equal(g._eigvecs, np.eye(3)[:, [1, 0, 2]])  # stable order
+        assert g.is_degenerate()
+        assert np.array_equal(Gaussian(np.ones(3), np.zeros((3, 3)))._eigvecs, np.eye(3))
+
+
 class TestFromEig:
     def test_matches_constructor(self):
         rng = np.random.default_rng(3)

@@ -167,6 +167,34 @@ class TestGradientBounds:
         )
 
 
+class TestOverflow:
+    def test_overflowing_powers_give_inf(self):
+        # Python's float ** raises OverflowError here; the levels are too large for a float
+        assert gradient_bound(1e200, 1, w2_to_pi=1.0) == math.inf
+        assert lmc_cross_reg(1e-200, 1, 1e100, 1e200) == (1e-100, math.inf)
+
+    def test_underflow_times_overflow_gives_inf(self):
+        # beta^2 underflows to 0 against an infinite W2: 0 * inf would be nan
+        assert gradient_bound(1e-200, 1) == math.inf
+        assert lmc_smooth_weak_error(0.0, 0.0, 1e300, 1, 1e10, 0.0) == math.inf
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1e300), st.floats(1e-300, 1e300), st.floats(0.0, 1e300),
+           st.floats(0.0, 1e300), st.floats(0.0, 1e300), st.integers(0, 10**6))
+    def test_never_nan(self, beta, h, grad, zeta, dist, d):
+        beta = min(beta, 1.0 / h)
+        while beta > 0.0 and h > 1.0 / beta:  # the formulas require h <= 1/beta
+            beta = math.nextafter(beta, 0.0)
+        values = [*lmc_local_errors(beta, d, h, grad), *lmc_cross_reg(beta, d, h, grad),
+                  lmc_smooth_weak_error(beta, zeta, zeta, d, h, grad),
+                  *rmlmc_local_errors(beta, d, h, grad), gradient_bound(beta, d, dist, dist),
+                  gradient_bound(beta, d)]
+        if beta > 0.0 and h < 1.0 / beta:
+            values += rmlmc_cross_reg(beta, d, h, grad)
+        assert not any(math.isnan(v) for v in values)
+        assert min(values) >= 0.0
+
+
 class TestSchemeCoefficients:
     def test_weak_le_strong_pointwise(self):
         # (weak, strong) levels of the three planner schemes at beta = 1, d = 4

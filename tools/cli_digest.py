@@ -7,7 +7,9 @@ and of the captured stderr, with the temporary path masked ("-" where no
 CSV was written).  The list covers every subcommand: ``sample`` for all
 three schemes, ``local-errors``, ``bound`` for the toy pair and for
 explicit constants, ``shifts`` (at L = 1, and at L = 0.9 with the oracle
-line at n = 8 and 40), ``plan`` and all five ``verify`` suites, plus the
+line at n = 8 and 40), ``plan`` and all five ``verify`` suites, a chain
+whose CSV holds values inside and outside the CSV writer's fixed-point
+window (an exact 0, a value below 1e-4, negatives, values near 1e17), plus the
 overflow input, the NaN step, state, chain start and toy inputs and the
 infinite strong level (certified mode) that must fail cleanly, a misspelt
 config key, keys ``plan`` does not read (``chi2_init``, and ``zeta0`` when
@@ -78,6 +80,8 @@ COMMANDS = [
     ("local-errors-nan-x", ["local-errors", *_sets("h=0.1", "x=nan")]),
     ("sample-nan-x0", ["sample", *_sets("h=0.1", "n=5", "samples=3", "x0=nan")]),
     ("bound-inf-strong", ["bound", *_sets("n=4", "L=0.9", "c=1", "c_prime=1", "e_strong=inf")]),
+    ("sample-edge", ["sample", *_sets(
+        "x0=0,1e-7,-2.5,1e17", "precision=1,1,1,1", "h=0.01", "n=3", "samples=5")]),
 ]
 
 
