@@ -45,7 +45,7 @@ for name in ("L", "gamma", "c", "c_prime", "b_bar", "e_weak", "e_strong"):
 print()
 print("Sanity: simulate the chain and compare empirical moments to the law")
 cfg = chains.SamplerConfig("LMC", 0.1, 100, seed=0, samples=50_000)
-res = chains.simulate_chain(pot, cfg, gauss.Gaussian(1.0, 0.0))
+res = chains.simulate_chain(pot, cfg, 1.0)
 law = chains.propagate_law(pot, gauss.Gaussian(1.0, 0.0), "LMC", 0.1, 100)
 print(f"  empirical mean {res.empirical_mean()[0]:+.4f} vs law {law.mean[0]:+.4f}")
 print(f"  empirical var  {res.empirical_cov()[0, 0]:.4f} vs law {law.cov[0, 0]:.4f}")

@@ -306,12 +306,27 @@ class LocalErrorEstimate:
     underpowered: bool
 
 
+def _horner(x: np.ndarray, coefs) -> np.ndarray:
+    """sum_j coefs[j] x^j by Horner's rule, in place on one accumulator.
+
+    Each step is acc * x + c, the operations of numpy's ``polyval``, so for
+    finite x the result is the same to the bit, without its per-call setup.
+    """
+    acc = np.full_like(x, coefs[-1])
+    for c in coefs[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
 def _below_one(z: np.ndarray, series, closed) -> np.ndarray:
     """The Taylor polynomial with coefficients ``series`` below z = 1 and
     ``closed(z)`` from z = 1 up, where the closed form no longer cancels."""
-    out = np.empty_like(z)
     small = z < 1.0
-    out[small] = np.polynomial.polynomial.polyval(z[small], series)
+    if small.all():
+        return _horner(z, series)
+    out = np.empty_like(z)
+    out[small] = _horner(z[small], series)
     out[~small] = closed(z[~small])
     return out
 
@@ -355,17 +370,20 @@ def _rmlmc_variance_ratio(z: np.ndarray) -> np.ndarray:
                       - np.expm1(-2.0 * z) / (2.0 * z))
 
 
+# Taylor coefficients (-1)^j / j! of e^{-z} for j = 0..22, for _exp_remainder
+_EXP_COEFS = [(-1.0) ** j / math.factorial(j) for j in range(23)]
+
+
 def _exp_remainder(z: np.ndarray, k: int) -> np.ndarray:
-    """e^{-z} - sum_{j<=k} (-z)^j / j! for z >= 0.
+    """e^{-z} - sum_{j<=k} (-z)^j / j! for z >= 0 and k = 1 or 2.
 
     Below z = 1, where the subtraction cancels to O(z^{k+1}), the Taylor
     series sum_{j>k} (-z)^j / j! up to j = k + 20 (truncation error below
     1e-18 relative); from z = 1 up the subtraction, which there loses less
     than 1e-15 relative.
     """
-    coefs = [(-1.0) ** j / math.factorial(j) for j in range(k + 21)]
-    return _below_one(z, [0.0] * (k + 1) + coefs[k + 1 :],
-                      lambda z: np.exp(-z) - np.polynomial.polynomial.polyval(z, coefs[: k + 1]))
+    return _below_one(z, [0.0] * (k + 1) + _EXP_COEFS[k + 1:k + 21],
+                      lambda z: np.exp(-z) - _horner(z, _EXP_COEFS[:k + 1]))
 
 
 def _pow2_scale(top: float) -> float:
@@ -531,21 +549,10 @@ class ChainResult:
         return np.atleast_2d(np.cov(self.final, rowvar=False, ddof=1))
 
 
-def _draw_init(init, samples: int, d: int, gen: np.random.Generator) -> np.ndarray:
-    if isinstance(init, Gaussian):
-        xi = gen.standard_normal((samples, d))
-        return init.mean + xi @ init.sqrt_cov().T
-    x0 = np.atleast_1d(np.asarray(init, dtype=float))
-    if x0.shape != (d,):
-        raise ValueError("Dirac initialization must have the potential's dimension")
-    _checks.finite(x0=x0)
-    return np.tile(x0, (samples, 1))
-
-
 def simulate_chain(pot: PotentialSpec, config: SamplerConfig, init) -> ChainResult:
     """Run `samples` independent replicas for n_steps; deterministic in the seed.
 
-    `init` may be a Gaussian (sampled) or a state vector (Dirac start).
+    Every replica starts at the point `init`, a state vector (a scalar in 1D).
     Noise for step k comes from an independent Philox stream keyed
     (seed, k+1), so any prefix of the chain is reproducible bit-for-bit.
     """
@@ -555,8 +562,12 @@ def simulate_chain(pot: PotentialSpec, config: SamplerConfig, init) -> ChainResu
         decay, var = _ou(lam, h)
         trans = (vecs * decay) @ vecs.T
         noise_sd = (vecs * np.sqrt(var)) @ vecs.T
+    x0 = np.atleast_1d(np.asarray(init, dtype=float))
+    if x0.shape != (d,):
+        raise ValueError("Dirac initialization must have the potential's dimension")
+    _checks.finite(x0=x0)
     out = np.empty((samples, config.n_steps + 1, d))
-    x = _draw_init(init, samples, d, _stream(config.seed, 0))
+    x = np.tile(x0, (samples, 1))
     out[:, 0, :] = x
     # an overflow or a non-finite gradient in an unstable chain is reported
     # as divergence at that step

@@ -15,6 +15,7 @@ N(x, N).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ PSD_TOL = 1e-12
 
 
 def _as_mean(mean) -> np.ndarray:
-    m = np.atleast_1d(np.asarray(mean, dtype=float))
+    m = np.atleast_1d(np.array(mean, dtype=float))  # a copy: the law freezes it
     if m.ndim != 1:
         raise ValueError("mean must be a vector")
     return m
@@ -72,9 +73,9 @@ class Gaussian:
     allowed and represent point masses in the flat directions.  Scalars are
     accepted for 1D convenience.  The constructor decomposes ``cov`` once
     (``eigh``, or a sort of the diagonal when ``cov`` is diagonal) and caches
-    the spectrum, ascending, for the divergences; a law already known in an
+    the spectrum, ascending, for the divergences.  A law already known in an
     orthonormal eigenbasis is built from it by the private ``_from_eig``,
-    which skips that ``eigh``.
+    which skips that ``eigh`` and forms ``cov`` only when it is first read.
     """
 
     mean: np.ndarray
@@ -85,21 +86,29 @@ class Gaussian:
     def __post_init__(self):
         m = _as_mean(self.mean)
         c = _as_cov(self.cov, m.size)
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(c))):
-            raise ValueError("mean and covariance must be finite")
-        scale = max(1.0, float(np.max(np.abs(c))))
-        if np.max(np.abs(c - c.T)) > PSD_TOL * scale:
-            raise ValueError("covariance is not symmetric")
-        c = 0.5 * (c + c.T)
         diag = np.diagonal(c)
-        if np.count_nonzero(c) == np.count_nonzero(diag):
-            # diagonal (a Dirac start too): the spectrum is the diagonal, in a
-            # stable ascending order, and the basis the matching permutation
+        # inf and nan count as non-zero, so a diagonal c is finite where diag is
+        diagonal = np.count_nonzero(c) == np.count_nonzero(diag)
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(diag if diagonal else c))):
+            raise ValueError("mean and covariance must be finite")
+        if diagonal:
+            # a Dirac start too: the spectrum is the diagonal, in a stable
+            # ascending order, and the basis the matching permutation.  The
+            # stored copy is rebuilt from the diagonal, which is what
+            # symmetrising it would give.
             order = np.argsort(diag, kind="stable")
-            lam, vecs = diag[order], np.eye(m.size)[:, order]
+            lam, vecs, c = diag[order], np.zeros(c.shape), np.diag(diag)
+            vecs[order, np.arange(m.size)] = 1.0
         else:
+            scale = max(1.0, float(np.max(np.abs(c))))
+            if np.max(np.abs(c - c.T)) > PSD_TOL * scale:
+                raise ValueError("covariance is not symmetric")
+            with np.errstate(over="ignore"):  # rejected below, as a non-finite spectrum
+                c = 0.5 * (c + c.T)
             lam, vecs = np.linalg.eigh(c)
-        self._freeze(m, c, _clip_spectrum(lam), vecs)
+            if not np.all(np.isfinite(lam)):
+                raise ValueError("covariance overflows")
+        self._freeze(mean=m, _eigvals=_clip_spectrum(lam), _eigvecs=vecs, cov=c)
 
     @classmethod
     def _from_eig(cls, mean, vals, vecs) -> "Gaussian":
@@ -109,6 +118,9 @@ class Gaussian:
         checks on what it is given: a finite mean and spectrum, and no
         eigenvalue below -PSD_TOL * max(lam_max, 1), the rest clipped at 0.
         The spectrum is sorted ascending with the columns of ``vecs``.
+        ``cov`` is formed on first read.  Its entries are at most
+        lam_max (1 + d eps) in size, so lam_max <= max / 4 keeps it and the
+        sum in its symmetrised form finite; a larger spectrum is rejected.
         """
         m = _as_mean(mean)
         lam = np.asarray(vals, dtype=float)
@@ -120,16 +132,22 @@ class Gaussian:
             raise ValueError("mean and eigenvalues must be finite")
         order = np.argsort(lam, kind="stable")
         lam, vecs = _clip_spectrum(lam[order]), vecs[:, order]
-        c = (vecs * lam) @ vecs.T
-        c = 0.5 * (c + c.T)
-        if not np.all(np.isfinite(c)):
+        if lam[-1] > sys.float_info.max / 4:
             raise ValueError("covariance overflows")
         g = object.__new__(cls)
-        g._freeze(m, c, lam, vecs)
+        g._freeze(mean=m, _eigvals=lam, _eigvecs=vecs)
         return g
 
-    def _freeze(self, m, c, lam, vecs) -> None:
-        for name, arr in (("mean", m), ("cov", c), ("_eigvals", lam), ("_eigvecs", vecs)):
+    def __getattr__(self, name):
+        # only a law from _from_eig lacks cov: form it once, then it is an attribute
+        if name != "cov":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        c = (self._eigvecs * self._eigvals) @ self._eigvecs.T
+        self._freeze(cov=0.5 * (c + c.T))
+        return self.cov
+
+    def _freeze(self, **arrays: np.ndarray) -> None:
+        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -143,8 +161,7 @@ class Gaussian:
 
     def sqrt_cov(self) -> np.ndarray:
         """Symmetric PSD square root of the covariance."""
-        lam = np.clip(self._eigvals, 0.0, None)
-        return (self._eigvecs * np.sqrt(lam)) @ self._eigvecs.T
+        return (self._eigvecs * np.sqrt(self._eigvals)) @ self._eigvecs.T
 
 
 def _check_dims(p: Gaussian, q: Gaussian):
@@ -167,8 +184,9 @@ def kl_gaussian(p: Gaussian, q: Gaussian) -> float:
     For equal covariances Sigma this reduces to 0.5 <mu_p - mu_q,
     Sigma^{-1} (mu_p - mu_q)>.  The second argument must be nondegenerate;
     a degenerate first argument gives +inf.  The trace term is
-    sum_i (V^T Sigma_p V)_ii / lam_i in q's eigenbasis (one matmul), and a
-    value that roundoff takes below 0 is returned as 0.
+    sum_i ((R o R) lam_p)_i / lam_q,i with R = V_q^T V_p, from both laws'
+    eigenpairs (one matmul; p's covariance is never formed), and a value
+    that roundoff takes below 0 is returned as 0.
     """
     _check_dims(p, q)
     delta = p.mean - q.mean
@@ -176,7 +194,7 @@ def kl_gaussian(p: Gaussian, q: Gaussian) -> float:
     if p.is_degenerate():
         return math.inf
     lam, vecs = q._eigvals, q._eigvecs
-    trace = float(np.sum(np.sum(vecs * (p.cov @ vecs), axis=0) / lam))
+    trace = float(np.sum((np.square(vecs.T @ p._eigvecs) @ p._eigvals) / lam))
     quad = float(delta @ (vecs @ ((vecs.T @ delta) / lam)))
     logdet_p = float(np.sum(np.log(p._eigvals)))
     return max(0.5 * (trace + quad - p.dim + logdet_q - logdet_p), 0.0)

@@ -50,11 +50,6 @@ def ou_kernel(pot, x, h):
     return propagate_law(pot, gauss.Gaussian(x, np.zeros((x.size, x.size))), "ExactDiffusion", h, 1)
 
 
-def random_gaussian(rng, d):
-    a = rng.standard_normal((d, d)) / math.sqrt(d)
-    return gauss.Gaussian(rng.standard_normal(d), a @ a.T)
-
-
 def lmc_law_by_steps(pot, init, h, n):
     """Slow reference: n dense steps of mean' = m + A (mean - m), cov' = A cov A^T + 2h I."""
     p, m = pot.quadratic.precision, pot.quadratic.mode
@@ -101,7 +96,7 @@ def simulate_chain_by_loop(pot, config, init):
         trans = (vecs * np.exp(-h * lam)) @ vecs.T
         noise_sd = (vecs * np.sqrt(-np.expm1(-2.0 * h * lam) / lam)) @ vecs.T
     out = np.empty((samples, config.n_steps + 1, d))
-    x = chains._draw_init(init, samples, d, chains._stream(config.seed, 0))
+    x = np.tile(np.atleast_1d(np.asarray(init, dtype=float)), (samples, 1))
     out[:, 0, :] = x
     for k in range(config.n_steps):
         gen = chains._stream(config.seed, k + 1)
@@ -466,12 +461,6 @@ class TestSimulateChain:
         assert res.empirical_mean()[0] == pytest.approx(law.mean[0], abs=4 * mean_se)
         assert res.empirical_cov()[0, 0] == pytest.approx(var, abs=4 * var_se)
 
-    def test_gaussian_initialization(self):
-        cfg = SamplerConfig("ExactDiffusion", 0.5, 3, seed=4, samples=50_000)
-        res = simulate_chain(UNIT, cfg, gauss.Gaussian(0.0, 1.0))
-        # stationary start stays stationary
-        assert res.empirical_cov()[0, 0] == pytest.approx(1.0, abs=0.03)
-
     def test_divergence_reports_step(self):
         # an overflowed iterate and an overflowed gradient both end the chain
         # at the step where they happen
@@ -488,7 +477,7 @@ class TestSimulateChain:
     def test_iterates_match_inline_loops(self, scheme, d):
         rng = np.random.default_rng(10 + d)
         pot = rotated_quadratic(rng, np.linspace(0.5, 2.0, d))
-        starts = [pot.quadratic.mode + 1.0, random_gaussian(rng, d)]
+        starts = [pot.quadratic.mode + 1.0, rng.standard_normal(d)]
         for seed in range(4):
             for init in starts:
                 cfg = SamplerConfig(scheme, 0.1, 12, seed=seed, samples=9)
@@ -785,6 +774,62 @@ class TestSmallStepAccuracy:
         assert chains._lmc_coupled_variance(np.zeros(1), 0.1)[0] == 0.0
 
 
+def below_one_by_polyval(z, series, closed):
+    """The series / closed-form split at z = 1, with numpy's polyval for the series."""
+    out = np.empty_like(z)
+    small = z < 1.0
+    out[small] = np.polynomial.polynomial.polyval(z[small], series)
+    out[~small] = closed(z[~small])
+    return out
+
+
+def exp_remainder_by_polyval(z, k):
+    coefs = [(-1.0) ** j / math.factorial(j) for j in range(k + 21)]
+    return below_one_by_polyval(z, [0.0] * (k + 1) + coefs[k + 1:], lambda z: np.exp(-z)
+                                - np.polynomial.polynomial.polyval(z, coefs[:k + 1]))
+
+
+EXP = chains._EXP_COEFS
+SERIES = [chains._LMC_SERIES, chains._RMLMC_SERIES,
+          *([0.0] * (k + 1) + EXP[k + 1:k + 21] for k in (1, 2)), *(EXP[:k + 1] for k in (1, 2))]
+SERIES_Z = st.lists(st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.floats(1.0, 1e300),
+                              st.sampled_from([0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0])),
+                    min_size=1, max_size=40)
+
+
+class TestSeriesByHorner:
+    @settings(max_examples=200, deadline=None)
+    @given(z=SERIES_Z)
+    @np.errstate(over="ignore")  # z up to 1e300 overflows the series to inf
+    def test_horner_matches_polyval_bit_for_bit(self, z):
+        z = np.array(z)
+        for coefs in SERIES:
+            want = np.polynomial.polynomial.polyval(z, coefs)
+            assert chains._horner(z, coefs).tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(z=SERIES_Z)
+    @np.errstate(over="ignore")
+    def test_series_functions_match_polyval_split(self, z):
+        z = np.array(z)
+        for k in (1, 2):
+            assert chains._exp_remainder(z, k).tobytes() == exp_remainder_by_polyval(z, k).tobytes()
+        ratio = below_one_by_polyval(z, chains._RMLMC_SERIES, lambda z: (z / 2.0 - 1.0) * z + 1.0
+                                     - 2.0 * np.exp(-z) - np.expm1(-2.0 * z) / (2.0 * z))
+        assert chains._rmlmc_variance_ratio(z).tobytes() == ratio.tobytes()
+        lam, h = z / 0.25, 0.25
+        bracket = below_one_by_polyval(lam * h, chains._LMC_SERIES, lambda z: 1.0
+                                       - np.expm1(-2.0 * z) / (2.0 * z) + 2.0 * np.expm1(-z) / z)
+        assert chains._lmc_coupled_variance(lam, h).tobytes() == (2.0 * h * bracket).tobytes()
+
+    def test_all_below_one_matches_mixed_call(self):
+        small = np.linspace(0.0, 0.99, 50)
+        mixed = np.concatenate([small, [1.0, 3.0]])
+        for k in (1, 2):
+            assert np.array_equal(chains._exp_remainder(small, k),
+                                  chains._exp_remainder(mixed, k)[:50])
+
+
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 # finite but extreme: subnormal, tiny, huge, the largest float
 EXTREME = st.one_of(
@@ -934,8 +979,11 @@ class TestEigenbasisLaws:
         with pytest.raises(ValueError, match="Dirac start"):
             propagate_law(pot, spread, "LMC", 0.1, 30)
         assert calls == []
+        target = gauss.Gaussian(pot.quadratic.mode, np.linalg.inv(pot.quadratic.precision))
         for law in laws:
             assert np.all(np.diff(law._eigvals) >= 0.0)
+            gauss.kl_gaussian(law, target)
+            assert "cov" not in vars(law)  # formed only when read
 
     def test_divergences_match_dense_construction(self):
         # >= 200 random rotated quadratic targets; each law built in the eigenbasis

@@ -2,6 +2,7 @@
 numerical integration, and distributional properties."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -283,6 +284,37 @@ class TestDiagonalCovariance:
                           renyi_gaussian(2.0, slow[i], slow[j]))
                 built.clear()
 
+    def test_bits_match_dense_construction(self):
+        """The diagonal path stores what the symmetrised copy and a stable sort
+        of its diagonal gave before it skipped them."""
+        rng = np.random.default_rng(25)
+        for d in (1, 2, 5, 40):
+            for _ in range(20):
+                diag = rng.choice([0.0, -0.0, 0.25, 1.0, 3.0, 5e-324, 1e300, rng.uniform()], d)
+                mean, cov = rng.standard_normal(d), np.diag(diag)
+                g = Gaussian(mean, cov)
+                sym = 0.5 * (cov + cov.T)
+                order = np.argsort(np.diagonal(sym), kind="stable")
+                assert g.mean.tobytes() == mean.tobytes()
+                assert g.cov.tobytes() == sym.tobytes()
+                assert g._eigvals.tobytes() == np.clip(np.diagonal(sym)[order], 0.0, None).tobytes()
+                assert g._eigvecs.tobytes() == np.eye(d)[:, order].tobytes()
+
+    def test_finite_covariance_that_overflows_rejected(self):
+        # entries above max / 2 overflow c + c^T, and four entries of 5e307 a
+        # spectrum of 2e308: both gave a nan spectrum
+        for cov in ([[1e308, 1.0], [1.0, 1e308]], np.full((4, 4), 5e307)):
+            with pytest.raises(ValueError, match="covariance overflows"):
+                Gaussian(np.zeros(len(cov)), cov)
+        assert Gaussian([0.0], [[1e308]]).cov[0, 0] == 1e308  # diagonal: no sum formed
+
+    def test_caller_arrays_not_frozen(self):
+        mean, cov = np.ones(3), np.diag([1.0, 2.0, 3.0])
+        g = Gaussian(mean, cov)
+        assert mean.flags.writeable and cov.flags.writeable
+        mean[0] = 5.0
+        assert g.mean[0] == 1.0
+
     def test_dirac_spectrum_and_basis(self):
         g = Gaussian(np.ones(3), np.diag([2.0, 0.0, 2.0]))
         assert np.array_equal(g._eigvals, [0.0, 2.0, 2.0])
@@ -354,6 +386,91 @@ class TestFromEig:
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         g = Gaussian._from_eig([0.0, 1.0], [1.0, 2.0], np.eye(2))
         assert kl_gaussian(g, g) == 0.0
+
+
+def dense_cov(lam, vecs):
+    """The covariance of an eigenbasis law as it was formed when the law was built."""
+    order = np.argsort(lam, kind="stable")
+    lam, vecs = np.clip(lam[order], 0.0, None), vecs[:, order]
+    c = (vecs * lam) @ vecs.T
+    return 0.5 * (c + c.T)
+
+
+def kl_by_dense_trace(p, q):
+    """KL(p || q) with the trace term sum_i diag(V_q^T Sigma_p V_q)_i / lam_q,i,
+    read from p's formed covariance."""
+    lam, vecs = q._eigvals, q._eigvecs
+    trace = float(np.sum(np.sum(vecs * (p.cov @ vecs), axis=0) / lam))
+    delta = p.mean - q.mean
+    quad = float(delta @ (vecs @ ((vecs.T @ delta) / lam)))
+    logdet_q, logdet_p = float(np.sum(np.log(lam))), float(np.sum(np.log(p._eigvals)))
+    return max(0.5 * (trace + quad - p.dim + logdet_q - logdet_p), 0.0)
+
+
+class TestDeferredCov:
+    def test_formed_on_first_read_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for d in (1, 2, 7, 40, 160):
+            vecs, lam = random_basis(rng, d), rng.uniform(0.0, 3.0, d)
+            g = Gaussian._from_eig(rng.standard_normal(d), lam, vecs)
+            assert "cov" not in vars(g)
+            cov = g.cov
+            assert np.array_equal(cov, dense_cov(lam, vecs))
+            assert g.cov is cov and not cov.flags.writeable
+            assert np.array_equal(cov, cov.T)
+
+    def test_divergences_of_eigenbasis_laws_leave_cov_unformed(self):
+        rng = np.random.default_rng(22)
+        vecs = random_basis(rng, 6)
+        p = Gaussian._from_eig(rng.standard_normal(6), rng.uniform(0.5, 2.0, 6), vecs)
+        q = Gaussian._from_eig(rng.standard_normal(6), rng.uniform(0.5, 2.0, 6), random_basis(rng, 6))
+        kl_gaussian(p, q), kl_gaussian(q, p), p.sqrt_cov(), p.is_degenerate()
+        assert "cov" not in vars(p) and "cov" not in vars(q)
+        w2_gaussian(p, q)
+        assert "cov" in vars(p) and "cov" in vars(q)
+
+    def test_other_attributes_still_missing(self):
+        g = Gaussian._from_eig([0.0], [1.0], np.eye(1))
+        with pytest.raises(AttributeError):
+            g.variance  # noqa: B018
+
+    def test_spectrum_that_may_overflow_rejected(self):
+        big = sys.float_info.max
+        vecs = random_basis(np.random.default_rng(23), 3)
+        for top in (0.6 * big, big):
+            with pytest.raises(ValueError, match="covariance overflows"):
+                Gaussian._from_eig(np.zeros(3), [1.0, 2.0, top], vecs)
+        for top in (1e300, big / 4):
+            g = Gaussian._from_eig(np.zeros(3), [1.0, 2.0, top], vecs)
+            assert np.all(np.isfinite(g.cov))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 160), seed=st.integers(0, 2**32 - 1),
+       spread=st.floats(0.0, 3.0), offset=st.floats(-3.0, 3.0))
+def test_kl_from_eigenpairs_matches_dense_trace(d, seed, spread, offset):
+    """The trace from p's eigenpairs against the trace from p's formed covariance."""
+    rng = np.random.default_rng(seed)
+    lam_p = np.exp(offset + spread * rng.uniform(-1.0, 1.0, d))
+    p = Gaussian._from_eig(rng.standard_normal(d), lam_p, random_basis(rng, d))
+    q = Gaussian._from_eig(rng.standard_normal(d), np.exp(spread * rng.uniform(-1.0, 1.0, d)),
+                           random_basis(rng, d))
+    for a, b in ((p, q), (q, p), (Gaussian(p.mean, p.cov), q)):
+        got, want = kl_gaussian(a, b), kl_by_dense_trace(a, b)
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
+def test_kl_bits_unchanged_in_permutation_bases():
+    """With +-1 or permutation bases (1D, diagonal) both traces are exact sums."""
+    rng = np.random.default_rng(24)
+    for d in (1, 1, 3, 8):
+        for _ in range(20):
+            p = Gaussian(rng.standard_normal(d), np.diag(rng.choice([0.25, 1.0, 3.0], d)))
+            q = Gaussian(rng.standard_normal(d), np.diag(rng.uniform(0.5, 2.0, d)))
+            one = Gaussian._from_eig(rng.standard_normal(d), rng.uniform(0.5, 2.0, d),
+                                     np.diag(rng.choice([-1.0, 1.0], d)))
+            for a, b in ((p, q), (q, p), (one, q), (p, one)):
+                assert kl_gaussian(a, b) == kl_by_dense_trace(a, b)
 
 
 def kl_by_solve(p, q):

@@ -16,7 +16,9 @@ side's median, Q1 and Q3 over the pairs, and the number of pairs in which the
 change beat the parent in the metric's ``better`` direction.  It is written
 under ``workloads[W]`` of the JSON file at ``--out``, next to the
 environment of the first run; other workloads already in that file are kept,
-so one file collects every workload of a change.
+so one file collects every workload of a change.  The summary is written
+even when a run reports ``correct: false`` or failed ops, but the script then
+names each such run (side and pair) on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -64,6 +66,13 @@ def summarise(runs: dict, better: dict) -> dict:
             "change_wins": wins,
         }
     return metrics
+
+
+def failures(runs: dict) -> list[str]:
+    """One line per run that reports ``correct: false`` or failed ops."""
+    return [f"pair {k}: {side} run has correct={r['correct']}, failed={r['failed']}"
+            for side in SIDES for k, r in enumerate(runs[side])
+            if not r["correct"] or r["failed"] > 0]
 
 
 def main() -> int:
@@ -115,7 +124,10 @@ def main() -> int:
         print(f"{name:<12} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
               f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
               f"change wins {m['change_wins']}/{args.pairs}")
-    return 0
+    bad = failures(runs)
+    for line in bad:
+        print(line, file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
