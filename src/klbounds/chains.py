@@ -562,7 +562,10 @@ def simulate_chain(pot: PotentialSpec, config: SamplerConfig, init) -> ChainResu
         decay, var = _ou(lam, h)
         trans = (vecs * decay) @ vecs.T
         noise_sd = (vecs * np.sqrt(var)) @ vecs.T
-    x0 = np.atleast_1d(np.asarray(init, dtype=float))
+    try:
+        x0 = np.atleast_1d(np.asarray(init, dtype=float))
+    except (TypeError, ValueError):
+        raise ValueError(f"init must be a start point, not {type(init).__name__}") from None
     if x0.shape != (d,):
         raise ValueError("Dirac initialization must have the potential's dimension")
     _checks.finite(x0=x0)

@@ -15,7 +15,6 @@ N(x, N).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,9 +72,9 @@ class Gaussian:
     allowed and represent point masses in the flat directions.  Scalars are
     accepted for 1D convenience.  The constructor decomposes ``cov`` once
     (``eigh``, or a sort of the diagonal when ``cov`` is diagonal) and caches
-    the spectrum, ascending, for the divergences.  A law already known in an
+    the spectrum, ascending, for the divergences; a law already known in an
     orthonormal eigenbasis is built from it by the private ``_from_eig``,
-    which skips that ``eigh`` and forms ``cov`` only when it is first read.
+    which skips that ``eigh``.
     """
 
     mean: np.ndarray
@@ -92,23 +91,27 @@ class Gaussian:
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(diag if diagonal else c))):
             raise ValueError("mean and covariance must be finite")
         if diagonal:
-            # a Dirac start too: the spectrum is the diagonal, in a stable
-            # ascending order, and the basis the matching permutation.  The
-            # stored copy is rebuilt from the diagonal, which is what
-            # symmetrising it would give.
+            # the spectrum is the diagonal, in a stable ascending order, and
+            # the basis the matching permutation.  The stored copy is rebuilt
+            # from the diagonal, which is what symmetrising it would give; a
+            # Dirac start (all +0) stores a read-only zero view, no d x d array.
             order = np.argsort(diag, kind="stable")
-            lam, vecs, c = diag[order], np.zeros(c.shape), np.diag(diag)
+            lam, vecs = diag[order], np.zeros(c.shape)
             vecs[order, np.arange(m.size)] = 1.0
+            dirac = not (np.any(diag) or np.any(np.signbit(diag)))
+            c = np.broadcast_to(0.0, c.shape) if dirac else np.diag(diag)
         else:
             scale = max(1.0, float(np.max(np.abs(c))))
             if np.max(np.abs(c - c.T)) > PSD_TOL * scale:
                 raise ValueError("covariance is not symmetric")
-            with np.errstate(over="ignore"):  # rejected below, as a non-finite spectrum
+            with np.errstate(over="ignore"):  # rejected below, before eigh sees an inf
                 c = 0.5 * (c + c.T)
-            lam, vecs = np.linalg.eigh(c)
-            if not np.all(np.isfinite(lam)):
+            if not np.all(np.isfinite(c)):
                 raise ValueError("covariance overflows")
-        self._freeze(mean=m, _eigvals=_clip_spectrum(lam), _eigvecs=vecs, cov=c)
+            lam, vecs = np.linalg.eigh(c)
+            if not np.all(np.isfinite(lam)):  # finite entries, overflowing spectrum
+                raise ValueError("covariance overflows")
+        self._freeze(m, c, _clip_spectrum(lam), vecs)
 
     @classmethod
     def _from_eig(cls, mean, vals, vecs) -> "Gaussian":
@@ -118,9 +121,6 @@ class Gaussian:
         checks on what it is given: a finite mean and spectrum, and no
         eigenvalue below -PSD_TOL * max(lam_max, 1), the rest clipped at 0.
         The spectrum is sorted ascending with the columns of ``vecs``.
-        ``cov`` is formed on first read.  Its entries are at most
-        lam_max (1 + d eps) in size, so lam_max <= max / 4 keeps it and the
-        sum in its symmetrised form finite; a larger spectrum is rejected.
         """
         m = _as_mean(mean)
         lam = np.asarray(vals, dtype=float)
@@ -132,22 +132,17 @@ class Gaussian:
             raise ValueError("mean and eigenvalues must be finite")
         order = np.argsort(lam, kind="stable")
         lam, vecs = _clip_spectrum(lam[order]), vecs[:, order]
-        if lam[-1] > sys.float_info.max / 4:
+        c = (vecs * lam) @ vecs.T
+        with np.errstate(over="ignore"):  # rejected below
+            c = 0.5 * (c + c.T)
+        if not np.all(np.isfinite(c)):
             raise ValueError("covariance overflows")
         g = object.__new__(cls)
-        g._freeze(mean=m, _eigvals=lam, _eigvecs=vecs)
+        g._freeze(m, c, lam, vecs)
         return g
 
-    def __getattr__(self, name):
-        # only a law from _from_eig lacks cov: form it once, then it is an attribute
-        if name != "cov":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        c = (self._eigvecs * self._eigvals) @ self._eigvecs.T
-        self._freeze(cov=0.5 * (c + c.T))
-        return self.cov
-
-    def _freeze(self, **arrays: np.ndarray) -> None:
-        for name, arr in arrays.items():
+    def _freeze(self, m, c, lam, vecs) -> None:
+        for name, arr in (("mean", m), ("cov", c), ("_eigvals", lam), ("_eigvecs", vecs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -185,8 +180,8 @@ def kl_gaussian(p: Gaussian, q: Gaussian) -> float:
     Sigma^{-1} (mu_p - mu_q)>.  The second argument must be nondegenerate;
     a degenerate first argument gives +inf.  The trace term is
     sum_i ((R o R) lam_p)_i / lam_q,i with R = V_q^T V_p, from both laws'
-    eigenpairs (one matmul; p's covariance is never formed), and a value
-    that roundoff takes below 0 is returned as 0.
+    eigenpairs (one matmul; p's covariance is not read), and a value that
+    roundoff takes below 0 is returned as 0.
     """
     _check_dims(p, q)
     delta = p.mean - q.mean
