@@ -6,11 +6,11 @@ Two modes are exposed throughout:
   unspecified multiplicative constant from the underlying analysis,
   surfaced here as the user-settable ``implied_constant`` (default 1), and
   labeled non-certified.
-- ``certified``: exact evaluation of the schedule objective
+- ``certified``: evaluation of the schedule objective
   c * sum eta_n^2 d_n^2 + c' * d_{N-1}^2 + b_bar^2 for a concrete feasible
-  (three-phase) schedule.  No hidden constants: whenever the one-step
-  assumptions hold with the supplied constants, the value is a valid KL
-  upper bound.
+  (three-phase) schedule, rounded up to no less than its exact value.  No
+  hidden constants: whenever the one-step assumptions hold with the
+  supplied constants, the value is a valid KL upper bound.
 
 Invalid input raises ValueError (see KernelAssumptions; the simple and
 certified modes need finite error levels).  A square or power that
@@ -75,6 +75,9 @@ class BoundReport:
     trace: shifts.ObjectiveTrace | None = None
 
 
+_UNIT_ROUNDOFF = 2.0**-53
+
+
 def _nan_to_inf(value: float) -> float:
     return math.inf if math.isnan(value) else value
 
@@ -108,6 +111,38 @@ def _ratio_lm1(L: float, n: int) -> float:
         return math.expm1(-u) / math.expm1(-n * u)
     except OverflowError:
         return math.expm1(-u) * math.exp(n * u) / -math.expm1(n * u)
+
+
+def _round_up(total: float, n: int) -> float:
+    """The certified total rounded up past its rounding: >= the exact objective.
+
+    With u = 2^-53 every IEEE operation returns its exact result times
+    (1 + delta), |delta| <= u, and libm's pow, behind the two squares
+    d_{N-1}**2 and b_bar**2, is within one ulp, |delta| <= 2u (barring
+    underflow: no nonzero product or quotient below 2^-1022).  Every term is
+    non-negative, so a sum's relative error is at most that of its worst
+    term, and each term collects one factor per rounding it passes through:
+
+    - a1 = e_weak + gamma e_strong: 2.  Step k of the recursion, under its
+      square root, gives L^2 (1-eta)^2 d_k^2 the roundings of L*L, twice
+      that of 1 - eta, three products, d_k * d_k and two sums: 9; the a1
+      and a0^2 terms fewer.  With the root's own rounding d_k is within
+      (1 +- u)^{5.5k} of its exact value, and d_k^2 within (1 +- u)^{11k}.
+    - c eta_k^2 d_k^2 (k <= N-2): two squares, a product, at most N-2 sums
+      in any summation order, c, and the sums with the final term and with
+      b_bar^2: N + 4 + 11k <= 12N - 18.
+    - c' d_{N-1}^2: the pow (2), c', the sums with b^2 = 0, with the main
+      term and with b_bar^2, and 11(N-1): 11N - 5.  b_bar^2: 3.
+
+    So the computed total T~ >= T (1-u)^{12N-5} and T <= T~ (1 + gamma_{12N-5}),
+    gamma_j = j u / (1 - j u).  The factor used, 1 + gamma_{12N}, is at
+    least 5u larger.  That covers the four roundings of forming and applying
+    it (1 - j u, the quotient, 1 + gamma, the product), less the > u that
+    math.nextafter adds by moving the result one ulp up.  An inf total stays
+    inf.
+    """
+    ju = 12.0 * n * _UNIT_ROUNDOFF
+    return math.nextafter(total * (1.0 + ju / (1.0 - ju)), math.inf)
 
 
 def w2_framework_bound(k: KernelAssumptions, n: int, w2_init: float) -> BoundReport:
@@ -159,7 +194,8 @@ def kl_framework_bound(
     certified (1/2 <= L <= 2):
         builds the three-phase schedule, propagates the squared-distance
         recursion with a0 = Es, a1 = Ew + gamma Es from d_0 = w2_init, and
-        returns the exact objective plus b_bar^2 with no constant.
+        returns the objective plus b_bar^2 with no constant, rounded up
+        so that it is no less than its exact value (see _round_up).
     """
     _checks.count("n", n)
     _checks.nonnegative(w2_init=w2_init)
@@ -189,9 +225,8 @@ def kl_framework_bound(
             n, k.L, w2_init, shifts.WeakAwareError(a0, a1), c=k.c, c_prime=k.c_prime, b=0.0
         )
         trace = shifts.evaluate_schedule(problem, schedule)
-        return BoundReport(
-            trace.total + _pow(k.b_bar, 2), "certified", 1.0, schedule=schedule, trace=trace
-        )
+        return BoundReport(_round_up(trace.total + _pow(k.b_bar, 2), n), "certified", 1.0,
+                           schedule=schedule, trace=trace)
     raise ValueError(f"unknown mode {mode!r}")
 
 

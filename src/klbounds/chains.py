@@ -382,6 +382,7 @@ def _exp_remainder(z: np.ndarray, k: int) -> np.ndarray:
     1e-18 relative); from z = 1 up the subtraction, which there loses less
     than 1e-15 relative.
     """
+    # the top term, j = k + 20, still moves the last bit for some z in [0.74, 1)
     return _below_one(z, [0.0] * (k + 1) + _EXP_COEFS[k + 1:k + 21],
                       lambda z: np.exp(-z) - _horner(z, _EXP_COEFS[:k + 1]))
 

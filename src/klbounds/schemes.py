@@ -94,10 +94,15 @@ def lmc_local_errors(beta: float, d: int, h: float, grad_norm: float) -> tuple[f
 
 
 def lmc_cross_reg(beta: float, d: int, h: float, grad_norm: float) -> tuple[float, float]:
-    """LMC cross-regularity: c' = 1 / h and b = sqrt(beta^2 h^3 grad^2 + beta^2 d h^2)."""
+    """LMC cross-regularity: c' = 1 / h and b = sqrt(beta^2 h^3 grad^2 + beta^2 d h^2).
+
+    b is taken as beta h hypot(sqrt(h) grad, sqrt(d)), with beta h <= 1
+    multiplied last: no square is formed, and no partial product underflows
+    where b does not.
+    """
     _require_step(h, beta, grad_norm=grad_norm)
     c_prime = 1.0 / h
-    b = _or_inf(lambda: math.sqrt(beta**2 * h**3 * grad_norm**2 + beta**2 * d * h**2))
+    b = _or_inf(lambda: beta * h * math.hypot(math.sqrt(h) * grad_norm, math.sqrt(d)))
     return c_prime, b
 
 
@@ -118,10 +123,14 @@ def rmlmc_local_errors(beta: float, d: int, h: float, grad_norm: float) -> tuple
     """RM-LMC local errors: the weak level gains a factor of h over LMC.
 
     e_weak = beta^2 h^3 grad + beta^2 sqrt(d) h^{5/2}; e_strong is the LMC
-    level beta h^2 grad + beta sqrt(d) h^{3/2}.
+    level beta h^2 grad + beta sqrt(d) h^{3/2}.  e_weak is taken as
+    beta h (beta h sqrt(h) (sqrt(h) grad + sqrt(d))): beta^2, which can
+    underflow where the level does not, is never formed.
     """
     _, e_strong = lmc_local_errors(beta, d, h, grad_norm)
-    e_weak = _or_inf(lambda: beta**2 * h**3 * grad_norm + beta**2 * math.sqrt(d) * h**2.5)
+    root_h = math.sqrt(h)
+    bh = beta * h
+    e_weak = _or_inf(lambda: bh * (bh * root_h * (root_h * grad_norm + math.sqrt(d))))
     return e_weak, e_strong
 
 

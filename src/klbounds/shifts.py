@@ -138,42 +138,45 @@ class ObjectiveTrace:
 def propagate_distances(problem: ShiftProblem, eta) -> np.ndarray:
     """Distances d_0..d_{N-1} under the problem's recursion (last shift unused).
 
-    The O(N) recursion runs on Python floats.  An overflowed distance (for
-    WeakAware, one whose square overflows) is inf.  It stands for a finite
-    value, so a full shift (eta = 1) restarts the recursion from the error
-    level and any other shift keeps it inf, never 0 * inf = nan.
+    The kept fractions 1 - eta come from one numpy subtraction, and the
+    O(N) recursion runs on Python floats, streamed into the array.  The
+    WeakAware square is the IEEE product d * d, correctly rounded (libm's
+    pow behind ``d**2`` is not, on about 1 in 1000 inputs).  An overflowed
+    distance (for WeakAware, one whose square overflows) is inf.  It stands
+    for a finite value, so a full shift (eta = 1) restarts the recursion
+    from the error level and any other shift keeps it inf, never
+    0 * inf = nan.
     """
+    rests = (1.0 - np.asarray(eta, dtype=float)[: problem.n - 1]).tolist()
+    return np.fromiter(_distance_steps(problem, rests), float, len(rests) + 1)
+
+
+def _distance_steps(problem: ShiftProblem, rests: list[float]):
+    """Yield d_0, d_1, ... for the kept fractions rests = 1 - eta."""
     L = float(problem.L)
     d = float(problem.d0)
-    out = [d]
-    etas = np.asarray(eta, dtype=float)[: problem.n - 1].tolist()
+    yield d
     inf = math.inf
     if isinstance(problem.error, SimpleError):
         a = float(problem.error.a)
-        for e in etas:
-            rest = 1.0 - e
+        for rest in rests:
             if d < inf:
                 d = L * rest * d + a
             else:
                 d = a if rest == 0.0 else inf
-            out.append(d)
+            yield d
     else:
         # hoisted factors keep the left-to-right products of the formula
         a0, a1 = float(problem.error.a0), float(problem.error.a1)
         ll, two_a1, a0_sq = L * L, 2.0 * a1, a0 * a0
         sqrt = math.sqrt
-        for e in etas:
-            rest = 1.0 - e
-            try:
-                sq = d**2
-            except OverflowError:
-                sq = inf
+        for rest in rests:
+            sq = d * d  # inf where it overflows
             if sq < inf:
                 d = sqrt(ll * rest * rest * sq + two_a1 * rest * d + a0_sq)
             else:
                 d = sqrt(a0_sq) if rest == 0.0 else inf
-            out.append(d)
-    return np.array(out)
+            yield d
 
 
 def evaluate_schedule(problem: ShiftProblem, schedule: ShiftSchedule) -> ObjectiveTrace:
@@ -343,7 +346,11 @@ def three_phase_schedule(n: int, L: float) -> ShiftSchedule:
     then eta_k = 1/(n-k).  For L > 1: eta_k = 1 - 1/L^2 while
     n-k > 2L/(L-1), then eta_k with L (1-eta_k) = ((n-k-1)/(n-k))^2.
     The final entry is always 1.  Where L^{-(n-k)} overflows, the equal
-    form (1/L - 1) L^{n-k} / (1 - L^{n-k}) is used.
+    form (1/L - 1) L^{n-k} / (1 - L^{n-k}) is used, entry by entry, for
+    that leading part of the prefix.  The rest of the prefix maps
+    math.expm1 over the exponents and divides 1/L - 1 by them in one numpy
+    division, correctly rounded like the float one, so the bits are those
+    of the per-entry form.
     """
     _checks.count("n", n)
     if not 0.5 <= L <= 2.0:
@@ -354,13 +361,15 @@ def three_phase_schedule(n: int, L: float) -> ShiftSchedule:
         neg_log = -math.log(L)
         x = remaining * neg_log
         eta[:-1] = 1.0 / remaining
-        # L^{-(n-k)} >= 2 <=> (n-k)(-log L) >= log 2: a prefix, as x decreases in k
+        # L^{-(n-k)} >= 2 <=> (n-k)(-log L) >= log 2: a prefix, as x decreases in k;
+        # its first j entries are where expm1 overflows
         m = int(np.count_nonzero(x >= math.log(2.0)))
+        j = int(np.count_nonzero(x > _EXPM1_MAX))
         e1 = math.expm1(neg_log)
-        eta[:m] = [
-            e1 / math.expm1(xk) if xk <= _EXPM1_MAX else e1 * L**rk / -math.expm1(-xk)
-            for rk, xk in zip(range(n, n - m, -1), x[:m].tolist())
-        ]
+        eta[:j] = [e1 * L**rk / -math.expm1(-xk)
+                   for rk, xk in zip(range(n, n - j, -1), x[:j].tolist())]
+        # math.expm1, not np.expm1, whose SIMD path differs by an ulp on some inputs
+        eta[j:m] = e1 / np.fromiter(map(math.expm1, x[j:m].tolist()), float, m - j)
     else:
         ratio = (remaining - 1.0) / remaining
         eta[:-1] = np.where(
@@ -405,18 +414,26 @@ def _chain(problem: ShiftProblem):
     a0, a1 = problem.error.a0, problem.error.a1
 
     def step(r):
-        return np.sqrt((L * r) ** 2 + 2.0 * a1 * r + a0 * a0)
+        out = L * r
+        out *= out
+        out += 2.0 * a1 * r
+        out += a0 * a0
+        return np.sqrt(out, out=out)
 
     def slopes(r, nxt):
         # nxt = 0 only at a0 = r = 0, where s' -> inf for a1 > 0.  There the
         # slope L and no curvature give the Hessian diagonal's limit, from
         # s'^2 + s s'' = L^2, and the edge a1 is the gradient's limit of s s'
-        live = nxt > 0.0
-        q = np.where(live, nxt, 1.0)
-        slope = np.where(live, (L * L * r + a1) / q, L)
+        live = None if nxt.all() else nxt > 0.0
+
+        def pick(value, limit):
+            return value if live is None else np.where(live, value, limit)
+
+        q = pick(nxt, 1.0)
+        slope = pick((L * L * r + a1) / q, L)
         # s'' = (L^2 a0^2 - a1^2) / nxt^3, without forming the cube
-        curv = np.where(live, (L * a0 - a1) * ((L * a0 + a1) / q) / q / q, 0.0)
-        return slope, curv, None if a0 > 0.0 else np.where(live, 0.0, a1)
+        curv = pick((L * a0 - a1) * ((L * a0 + a1) / q) / q / q, 0.0)
+        return slope, curv, None if a0 > 0.0 else pick(0.0, a1)
 
     return step, slopes, a1 <= L * a0
 
@@ -454,11 +471,16 @@ def _projected_newton(problem: ShiftProblem, step, slopes, r: np.ndarray) -> np.
     """
     d0, c, cp = problem.d0, problem.c, problem.c_prime
     cost = np.append(np.full(r.size - 1, c), cp)  # the cost of each d_{k+1}
+    dist, weight = np.empty_like(r), np.empty_like(r)
+    dist[0] = d0
 
     def terms(r):
-        """Distances d_1..d_{N-1}, d_0..d_{N-2}, gaps (d_k - r_k)_+ and objective."""
+        """Distances d_1..d_{N-1}, d_0..d_{N-2}, gaps (d_k - r_k)_+ and objective.
+
+        dist is filled in place: a trial's call overwrites the iterate's.
+        """
         nxt = step(r)
-        dist = np.append(d0, nxt[:-1])
+        dist[1:] = nxt[:-1]
         gap = np.maximum(dist - r, 0.0)
         return nxt, dist, gap, c * gap @ gap + cp * nxt[-1] ** 2
 
@@ -468,14 +490,15 @@ def _projected_newton(problem: ShiftProblem, step, slopes, r: np.ndarray) -> np.
         # adjoint: d_{k+1} feeds the stage-(k+1) gap, or the final term.  Where
         # d_{k+1} = 0 that term's one-sided gradient is 2 cost s s' = 2 cost
         # edge, or 0 while r_{k+1} > 0 keeps the stage-(k+1) gap clipped
-        weight = np.append(c * gap[1:], cp * nxt[-1])
+        np.multiply(c, gap[1:], out=weight[:-1])
+        weight[-1] = cp * nxt[-1]
         grad = 2.0 * (weight * slope - c * gap)
         if edge is not None:
             grad += 2.0 * cost * edge * np.append(r[1:] == 0.0, True)
         # KKT: grad_k = 0 where r_k > 0 and grad_k >= 0 where r_k = 0, each
         # residual weighted by the range [0, d_k] of its kept distance
         residual = np.where(r > 0.0, grad, np.minimum(grad, 0.0))
-        if np.max(np.abs(residual) * dist) <= _KKT_TOL * value:
+        if (np.abs(residual) * dist).max() <= _KKT_TOL * value:
             break
         # Hessian: stage k's own gap gives 2c (kept where the gap is clipped,
         # so the convex case stays positive definite), the next stage or the
@@ -483,10 +506,13 @@ def _projected_newton(problem: ShiftProblem, step, slopes, r: np.ndarray) -> np.
         diag = 2.0 * (c + cost * slope**2 + weight * curv)
         off = -2.0 * c * slope[:-1]
         free = (r > 0.0) | (grad <= 0.0)
-        p = _thomas(np.where(free, diag, 1.0), np.where(free[:-1] & free[1:], off, 0.0),
-                    np.where(free, -grad, 0.0))
+        if free.all():
+            p = _thomas(diag, off, -grad)
+        else:
+            p = _thomas(np.where(free, diag, 1.0), np.where(free[:-1] & free[1:], off, 0.0),
+                        np.where(free, -grad, 0.0))
         if p is None:
-            p = -grad / (np.max(np.abs(diag)) or 1.0)
+            p = -grad / (np.abs(diag).max() or 1.0)
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = np.maximum(r + alpha * p, 0.0)

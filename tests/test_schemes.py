@@ -169,9 +169,18 @@ class TestGradientBounds:
 
 class TestOverflow:
     def test_overflowing_powers_give_inf(self):
-        # Python's float ** raises OverflowError here; the levels are too large for a float
+        # the levels are too large for a float (Python's float ** raises OverflowError
+        # in gradient_bound)
         assert gradient_bound(1e200, 1, w2_to_pi=1.0) == math.inf
-        assert lmc_cross_reg(1e-200, 1, 1e100, 1e200) == (1e-100, math.inf)
+        assert lmc_cross_reg(1e-300, 1, 1e299, 1e200)[1] == math.inf  # b is 3.2e348
+
+    def test_grouped_levels_neither_underflow_nor_overflow(self):
+        # beta**2 = 1e-400 used to underflow to 0, so b and e_weak came out 0; with
+        # grad = 1e200, grad**2 raised OverflowError and b came out inf.  Each level
+        # is a float
+        assert lmc_cross_reg(1e-200, 1, 1e100, 1e150)[1] == pytest.approx(1e100, rel=1e-15)
+        assert rmlmc_local_errors(1e-200, 1, 1e100, 1e150)[0] == pytest.approx(1e50, rel=1e-15)
+        assert lmc_cross_reg(1e-200, 1, 1e100, 1e200)[1] == pytest.approx(1e150, rel=1e-15)
 
     def test_underflow_times_overflow_gives_inf(self):
         # beta^2 underflows to 0 against an infinite W2: 0 * inf would be nan

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,20 +72,22 @@ def distances_by_loop(problem, eta):
             for k in range(problem.n - 1):
                 rest = 1.0 - eta[k]
                 d[k + 1] = math.sqrt(
-                    big_l * big_l * rest * rest * d[k] ** 2 + 2.0 * a1 * rest * d[k] + a0 * a0
+                    big_l * big_l * rest * rest * (d[k] * d[k]) + 2.0 * a1 * rest * d[k] + a0 * a0
                 )
     return d
 
 
 def certified_by_loop(k, n, w2_init):
-    """The certified bound from the reference loops, in evaluate_schedule's order."""
+    """The certified bound from the reference loops, in evaluate_schedule's
+    order, times 1 + gamma_{12N} and one ulp up."""
     eta = three_phase_by_loop(n, k.L)
     a1 = k.e_weak + k.gamma * k.e_strong
     pr = ShiftProblem(n, k.L, w2_init, WeakAwareError(k.e_strong, a1), c=k.c, c_prime=k.c_prime)
     d = distances_by_loop(pr, eta)
     main = pr.c * float(np.sum(eta[:-1] ** 2 * d[:-1] ** 2))
     final = pr.c_prime * d[-1] ** 2 + pr.b**2
-    return main + final + k.b_bar**2
+    ju = 12.0 * n * 2.0**-53
+    return math.nextafter((main + final + k.b_bar**2) * (1.0 + ju / (1.0 - ju)), math.inf)
 
 
 def grid_min_two_step(n2_l, a, d0, c=1.0, c_prime=1.0, points=400_001):
@@ -407,6 +410,45 @@ class TestAgainstLoops:
     def test_certified_toy_bitwise(self, n, w, sigma):
         k = toy_assumptions(w, sigma)
         assert kl_framework_bound(k, n, 0.0, "certified").value == certified_by_loop(k, n, 0.0)
+
+
+def certified_exact(k, n, w2_init):
+    """50-digit objective of the float three-phase schedule, from the float
+    inputs, with a1 = e_weak + gamma e_strong formed exactly."""
+    eta = three_phase_schedule(n, k.L).eta.tolist()
+    mpf = mpmath.mpf
+    with mpmath.workdps(50):
+        big_l, a0 = mpf(k.L), mpf(k.e_strong)
+        a1 = mpf(k.e_weak) + mpf(k.gamma) * a0
+        d, main = mpf(w2_init), mpf(0)
+        for e in eta[:-1]:
+            e = mpf(e)
+            main += e * e * d * d
+            rest = 1 - e
+            d = mpmath.sqrt(big_l * big_l * rest * rest * d * d + 2 * a1 * rest * d + a0 * a0)
+        return mpf(k.c) * main + mpf(k.c_prime) * d * d + mpf(k.b_bar) ** 2
+
+
+class TestCertifiedRoundsUp:
+    @pytest.mark.parametrize("w, sigma, n", [
+        # round-to-nearest left these 1.12e-13 and 7.1e-14 below the exact value
+        (0.16898646688767952, 0.7910389636429935, 22877),
+        (0.19309829485948163, 1.1697479289282404, 15863),
+    ])
+    def test_long_toy_cases(self, w, sigma, n):
+        k = toy_assumptions(w, sigma)
+        assert kl_framework_bound(k, n, 0.0, "certified").value >= certified_exact(k, n, 0.0)
+
+    # nonzero constants from 1e-50 up: underflow is outside the round-up's model
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3000), big_l=st.floats(0.5, 2.0),
+           levels=st.lists(st.one_of(st.just(0.0), st.floats(1e-50, 3.0)), min_size=7, max_size=7))
+    def test_not_below_exact_objective(self, n, big_l, levels):
+        gamma, c, c_prime, b_bar, e_weak, e_strong, w2_init = levels
+        k = KernelAssumptions(L=big_l, gamma=gamma, c=c, c_prime=c_prime, b_bar=b_bar,
+                              e_weak=e_weak, e_strong=e_strong)
+        value = kl_framework_bound(k, n, w2_init, "certified").value
+        assert math.isfinite(value) and value >= certified_exact(k, n, w2_init)
 
 
 class TestOverflow:

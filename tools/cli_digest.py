@@ -5,8 +5,9 @@ temporary directory.  One line per command gives its exit code (or the
 exception it raised), then the sha256 of the CSV, of the captured stdout
 and of the captured stderr, with the temporary path masked ("-" where no
 CSV was written).  The list covers every subcommand: ``sample`` for all
-three schemes, ``local-errors``, ``bound`` for the toy pair and for
-explicit constants, ``shifts`` (at L = 1, and at L = 0.9 with the oracle
+three schemes, ``local-errors``, ``bound`` for the toy pair (at n = 4 and
+at n = 22877, a horizon of the certify benchmark) and for explicit
+constants, ``shifts`` (at L = 1, and at L = 0.9 with the oracle
 line at n = 8 and 40), ``plan`` and all five ``verify`` suites, a chain
 whose CSV holds values inside and outside the CSV writer's fixed-point
 window (an exact 0, a value below 1e-4, negatives, values near 1e17), plus the
@@ -59,6 +60,8 @@ COMMANDS = [
     ("local-errors-rmlmc", ["local-errors", *_sets(
         "scheme=RMLMC", "h_grid=0.2,0.1,0.05", "precision=1,2,4", "x=1,0,-1")]),
     ("bound-toy", ["bound", *_sets("n=4", "toy_w=0.1", "toy_sigma=1")]),
+    ("bound-toy-long", ["bound", *_sets(
+        "n=22877", "toy_w=0.16898646688767952", "toy_sigma=0.7910389636429935")]),
     ("bound-constants", ["bound", *_sets(
         "n=100", "L=0.99", "c=2.5", "c_prime=10", "e_weak=0.01", "e_strong=0.03", "w2_init=1")]),
     ("bound-overflow", ["bound", *_sets("n=1000", "L=1", "c=1", "c_prime=1", "e_strong=1e200")]),
